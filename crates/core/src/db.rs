@@ -22,12 +22,14 @@ use pebblesdb_common::{
     CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
     StoreStats, WriteBatch, WriteOptions,
 };
-use pebblesdb_engine::{EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{
+    EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, ShapeVersion, VersionEdit,
+};
 use pebblesdb_env::Env;
 
 use crate::compaction::{build_compaction_job, run_compaction_io, FlsmCompactionJob};
 use crate::guards::{GuardPicker, UncommittedGuards};
-use crate::version::{CompactionReason, FlsmVersion, FlsmVersionEdit, FlsmVersionSet};
+use crate::version::{CompactionReason, FlsmVersion};
 
 /// The guarded FLSM shape policy.
 pub struct FlsmPolicy {
@@ -79,19 +81,68 @@ impl FlsmPolicy {
         }
         best.map(|(level, _)| level)
     }
+
+    /// Every level of `version` that currently wants a compaction, in
+    /// priority order (level 0 pressure, guard fanout, byte budgets,
+    /// aggressive merging).
+    ///
+    /// The compaction pool walks this list so a worker whose preferred level
+    /// is fully claimed by in-flight jobs can still pick up independent work
+    /// at another level. Each level appears at most once, under its
+    /// highest-priority reason.
+    pub fn compaction_candidates(&self, version: &FlsmVersion) -> Vec<(usize, CompactionReason)> {
+        let options = &self.options;
+        let mut candidates = Vec::new();
+        let mut seen = vec![false; version.num_levels()];
+        let mut push = |level: usize, reason: CompactionReason| {
+            if !seen[level] {
+                seen[level] = true;
+                candidates.push((level, reason));
+            }
+        };
+        // Level 0 is governed by file count.
+        if version.level0.len() >= options.level0_compaction_trigger {
+            push(0, CompactionReason::Level0Files);
+        }
+        // A guard over its sstable budget forces a compaction of its level.
+        // This includes the last level, which rewrites its guards in place
+        // (the paper's "exception to the no-rewrite rule").
+        for level in 1..version.num_levels() {
+            if version.levels[level].max_files_in_guard() > options.max_sstables_per_guard {
+                push(level, CompactionReason::GuardFanout);
+            }
+        }
+        // Byte budgets.
+        for level in 1..version.num_levels() - 1 {
+            if version.level_bytes(level) > options.max_bytes_for_level(level) {
+                push(level, CompactionReason::LevelBytes);
+            }
+        }
+        // Aggressive compaction: level i close in size to level i+1.
+        if options.enable_aggressive_compaction {
+            for level in 1..version.num_levels() - 1 {
+                let this = version.level_bytes(level);
+                let next = version.level_bytes(level + 1);
+                if this > 0
+                    && next > 0
+                    && (this as f64) >= options.aggressive_compaction_ratio * (next as f64)
+                    && this >= options.max_bytes_for_level(level) / 2
+                {
+                    push(level, CompactionReason::Aggressive);
+                }
+            }
+        }
+        candidates
+    }
 }
 
 impl ShapePolicy for FlsmPolicy {
-    type Versions = FlsmVersionSet;
+    type Version = FlsmVersion;
     type State = FlsmPolicyState;
     type Job = FlsmCompactionJob;
 
     fn engine_name(&self) -> String {
         self.label.to_string()
-    }
-
-    fn new_versions(&self, io: &EngineIo) -> FlsmVersionSet {
-        FlsmVersionSet::new(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())
     }
 
     fn new_state(&self) -> FlsmPolicyState {
@@ -209,6 +260,10 @@ impl ShapePolicy for FlsmPolicy {
 
     // ------------------------------------------------------------ compaction
 
+    fn needs_compaction(&self, version: &FlsmVersion) -> bool {
+        !self.compaction_candidates(version).is_empty()
+    }
+
     /// Claims the highest-priority job whose inputs do not intersect any
     /// in-flight job's inputs: a disjoint guard-component subset of a level.
     ///
@@ -223,9 +278,9 @@ impl ShapePolicy for FlsmPolicy {
         let split = self.options.compaction_threads.max(1);
         let version = ctx.versions.current();
 
-        let mut candidates = ctx.versions.compaction_candidates();
+        let mut candidates = self.compaction_candidates(&version);
         if ctx.state.seek_compaction_pending {
-            match Self::pick_seek_compaction_level(ctx.versions.current_unpinned()) {
+            match Self::pick_seek_compaction_level(&version) {
                 // Seek compactions yield to size triggers; the flag stays
                 // set until the seek job itself is claimed.
                 Some(level) => candidates.push((level, CompactionReason::SeekTriggered)),
@@ -292,7 +347,7 @@ impl ShapePolicy for FlsmPolicy {
         job: &FlsmCompactionJob,
         outputs: Vec<FileMetaData>,
     ) -> Result<(u64, u64)> {
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         for file in &job.inputs {
             edit.delete_file(job.level, file.number);
         }
@@ -372,8 +427,11 @@ impl PebblesDb {
 
     /// Number of files at each level.
     pub fn files_per_level(&self) -> Vec<usize> {
-        self.db
-            .with_current_version(|v| (0..v.num_levels()).map(|l| v.level_files(l)).collect())
+        self.db.with_current_version(|v| {
+            (0..v.num_levels())
+                .map(|l| v.level_files(l).len())
+                .collect()
+        })
     }
 
     /// Total number of guards that currently hold no sstables.
@@ -490,7 +548,7 @@ mod tests {
     /// race it to the job.
     fn fabricate_files(state: &mut FlsmState<'_>, files: &[(usize, &str, &str)]) {
         let cf = state.default_cf_mut();
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         for (level, smallest, largest) in files {
             let number = cf.versions.new_file_number();
             edit.new_files

@@ -1,25 +1,21 @@
-//! FLSM versions: guard-organised file metadata and its MANIFEST encoding.
+//! FLSM versions: guard-organised file metadata.
 //!
-//! The structure mirrors the baseline LSM's `version` module but each level (from 1
+//! The structure mirrors the baseline LSM's version but each level (from 1
 //! down) is a list of [`GuardMeta`]s instead of a sorted run of disjoint
-//! files. Version edits additionally carry newly committed guard keys, which
-//! is the only extra metadata PebblesDB persists compared to its
+//! files. The MANIFEST machinery is the chassis's
+//! [`VersionSet`](pebblesdb_engine::VersionSet); the guard keys its edits
+//! carry are the only extra metadata PebblesDB persists compared to its
 //! HyperLevelDB base (section 4.3.1 of the paper).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, put_varint64, Decoder};
-use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
 use pebblesdb_common::key::{parse_internal_key, LookupKey, SequenceNumber, ValueType};
 use pebblesdb_common::vlog::{LookupValue, ValuePointer};
-use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::policy::{VersionMeta, VersionSetOps};
-use pebblesdb_engine::{FileMetaData, FileMetaDataEdit};
-use pebblesdb_env::Env;
+use pebblesdb_common::{ReadOptions, Result};
+use pebblesdb_engine::{FileMetaData, ShapeVersion, VersionBuilder, VersionEdit};
 use pebblesdb_sstable::TableCache;
-use pebblesdb_wal::{LogReader, LogWriter};
 
 use crate::guards::{guard_index_for_key, GuardMeta};
 
@@ -51,12 +47,6 @@ impl FlsmLevel {
             .guards
             .partition_point(|g| g.is_sentinel() || g.key.as_slice() <= user_key);
         &self.guards[count.saturating_sub(1)]
-    }
-
-    /// Total bytes across every guard (files spanning several guards are
-    /// counted once).
-    pub fn total_bytes(&self) -> u64 {
-        self.unique_files().iter().map(|f| f.file_size).sum()
     }
 
     /// Total number of distinct files across every guard.
@@ -113,57 +103,6 @@ impl FlsmVersion {
         }
     }
 
-    /// Number of levels (including level 0).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Total bytes at `level`.
-    pub fn level_bytes(&self, level: usize) -> u64 {
-        if level == 0 {
-            self.level0.iter().map(|f| f.file_size).sum()
-        } else {
-            self.levels[level].total_bytes()
-        }
-    }
-
-    /// Number of files at `level`.
-    pub fn level_files(&self, level: usize) -> usize {
-        if level == 0 {
-            self.level0.len()
-        } else {
-            self.levels[level].num_files()
-        }
-    }
-
-    /// Total number of live files.
-    pub fn num_files(&self) -> usize {
-        (0..self.num_levels()).map(|l| self.level_files(l)).sum()
-    }
-
-    /// Total bytes across all live files.
-    pub fn total_bytes(&self) -> u64 {
-        (0..self.num_levels()).map(|l| self.level_bytes(l)).sum()
-    }
-
-    /// Sizes of every live file (Table 5.1 of the paper).
-    pub fn file_sizes(&self) -> Vec<u64> {
-        let mut sizes: Vec<u64> = self.level0.iter().map(|f| f.file_size).collect();
-        for level in self.levels.iter().skip(1) {
-            sizes.extend(level.unique_files().iter().map(|f| f.file_size));
-        }
-        sizes
-    }
-
-    /// All file numbers referenced by this version.
-    pub fn live_file_numbers(&self) -> Vec<u64> {
-        let mut numbers: Vec<u64> = self.level0.iter().map(|f| f.number).collect();
-        for level in self.levels.iter().skip(1) {
-            numbers.extend(level.unique_files().iter().map(|f| f.number));
-        }
-        numbers
-    }
-
     /// Number of guards per level (sentinel included), for diagnostics.
     pub fn guards_per_level(&self) -> Vec<usize> {
         self.levels.iter().map(|l| l.guards.len()).collect()
@@ -172,19 +111,6 @@ impl FlsmVersion {
     /// Total number of empty guards across all levels.
     pub fn empty_guards(&self) -> usize {
         self.levels.iter().skip(1).map(|l| l.empty_guards()).sum()
-    }
-
-    /// Human-readable per-level summary (`L0:n L1:files/guards ...`).
-    pub fn level_summary(&self) -> String {
-        let mut parts = vec![format!("L0:{}", self.level0.len())];
-        for (idx, level) in self.levels.iter().enumerate().skip(1) {
-            parts.push(format!(
-                "L{idx}:{}f/{}g",
-                level.num_files(),
-                level.guards.len()
-            ));
-        }
-        parts.join(" ")
     }
 
     /// Point lookup across the whole version.
@@ -239,6 +165,164 @@ impl FlsmVersion {
         }
         Ok(None)
     }
+}
+
+/// Searches one sstable; the outer `Option` says whether this file holds a
+/// version of the key, the payload is that version's sequence and its value
+/// (`None` = tombstone) so callers can pick the newest match across the
+/// overlapping files of a guard.
+fn search_file(
+    read_options: &ReadOptions,
+    file: &Arc<FileMetaData>,
+    key: &LookupKey,
+    table_cache: &TableCache,
+) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
+    let table = table_cache.get_table(file.number, file.file_size)?;
+    if !table.may_contain_user_key(key.user_key()) {
+        return Ok(None);
+    }
+    match table.get(read_options, key.internal_key())? {
+        Some((found_key, value)) => match parse_internal_key(&found_key) {
+            Some(parsed) if parsed.user_key == key.user_key() => match parsed.value_type {
+                ValueType::Value => Ok(Some((parsed.sequence, Some(LookupValue::Inline(value))))),
+                ValueType::ValuePointer => Ok(Some((
+                    parsed.sequence,
+                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?)),
+                ))),
+                ValueType::Deletion => Ok(Some((parsed.sequence, None))),
+            },
+            _ => Ok(None),
+        },
+        None => Ok(None),
+    }
+}
+
+/// Rebuilds an [`FlsmVersion`] from guard keys and file lists.
+pub struct FlsmVersionBuilder {
+    max_levels: usize,
+    /// Guard keys per level (sentinel excluded).
+    guard_keys: Vec<BTreeSet<Vec<u8>>>,
+    /// Files per level (level 0 included at index 0).
+    files: Vec<Vec<Arc<FileMetaData>>>,
+}
+
+impl VersionBuilder for FlsmVersionBuilder {
+    type Version = FlsmVersion;
+
+    fn new(max_levels: usize) -> Self {
+        FlsmVersionBuilder {
+            max_levels,
+            guard_keys: vec![BTreeSet::new(); max_levels],
+            files: vec![Vec::new(); max_levels],
+        }
+    }
+
+    fn from_version(version: &FlsmVersion) -> Self {
+        let mut builder = Self::new(version.num_levels());
+        builder.files[0] = version.level0.clone();
+        for (level_idx, level) in version.levels.iter().enumerate().skip(1) {
+            builder.guard_keys[level_idx].extend(level.guard_keys());
+            builder.files[level_idx] = level.unique_files();
+        }
+        builder
+    }
+
+    fn apply(&mut self, edit: &VersionEdit) -> Result<()> {
+        for (level, key) in &edit.new_guards {
+            // A guard at level i is a guard at every deeper level too.
+            for deeper in *level..self.max_levels {
+                self.guard_keys[deeper].insert(key.clone());
+            }
+        }
+        for (level, number) in &edit.deleted_files {
+            if *level < self.max_levels {
+                self.files[*level].retain(|f| f.number != *number);
+            }
+        }
+        for (level, file) in &edit.new_files {
+            if *level < self.max_levels {
+                self.files[*level].push(Arc::new(FileMetaData::from_edit(file)));
+            }
+        }
+        Ok(())
+    }
+
+    /// Produces the resulting version, attaching every file to each guard
+    /// its key range overlaps.
+    fn finish(self) -> FlsmVersion {
+        let mut version = FlsmVersion::new(self.max_levels);
+        let mut level0 = self.files[0].clone();
+        level0.sort_by_key(|f| std::cmp::Reverse(f.number));
+        version.level0 = level0;
+
+        for level_idx in 1..self.max_levels {
+            let keys: Vec<Vec<u8>> = self.guard_keys[level_idx].iter().cloned().collect();
+            let mut guards: Vec<GuardMeta> = Vec::with_capacity(keys.len() + 1);
+            guards.push(GuardMeta::new(Vec::new()));
+            for key in &keys {
+                guards.push(GuardMeta::new(key.clone()));
+            }
+            // Older MANIFEST snapshots list a file once per guard it spans;
+            // each file is attached once per guard regardless.
+            let mut seen = BTreeSet::new();
+            for file in &self.files[level_idx] {
+                if !seen.insert(file.number) {
+                    continue;
+                }
+                // Freshly compacted files land in exactly one guard; only
+                // files written before a guard was committed can span more.
+                let first = guard_index_for_key(&keys, file.smallest.user_key());
+                let last = guard_index_for_key(&keys, file.largest.user_key());
+                for guard in guards.iter_mut().take(last + 1).skip(first) {
+                    guard.files.push(Arc::clone(file));
+                }
+            }
+            for guard in &mut guards {
+                guard.files.sort_by_key(|f| std::cmp::Reverse(f.number));
+            }
+            version.levels[level_idx] = FlsmLevel { guards };
+        }
+        version
+    }
+}
+
+impl ShapeVersion for FlsmVersion {
+    type Builder = FlsmVersionBuilder;
+
+    fn num_levels(&self) -> usize {
+        self.levels.len()
+    }
+
+    fn level_files(&self, level: usize) -> Cow<'_, [Arc<FileMetaData>]> {
+        if level == 0 {
+            Cow::Borrowed(&self.level0)
+        } else {
+            Cow::Owned(self.levels[level].unique_files())
+        }
+    }
+
+    /// `L0:n L1:files/guards ...`
+    fn level_summary(&self) -> String {
+        let mut parts = vec![format!("L0:{}", self.level0.len())];
+        for (idx, level) in self.levels.iter().enumerate().skip(1) {
+            parts.push(format!(
+                "L{idx}:{}f/{}g",
+                level.num_files(),
+                level.guards.len()
+            ));
+        }
+        parts.join(" ")
+    }
+
+    /// Every level's guard keys: guards propagate downwards, so a snapshot
+    /// lists a level-1 guard again at each deeper level.
+    fn snapshot_guards(&self) -> Vec<(usize, Vec<u8>)> {
+        let mut guards = Vec::new();
+        for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
+            guards.extend(level.guard_keys().into_iter().map(|key| (level_idx, key)));
+        }
+        guards
+    }
 
     /// Checks the structural invariants concurrent compaction commits must
     /// preserve. Returns a description of the first violation found.
@@ -251,9 +335,9 @@ impl FlsmVersion {
     ///   every guard a file overlaps holds it (point lookups inspect exactly
     ///   one guard, so a missing attachment is a lost key).
     ///
-    /// Called via `debug_assert!` after every version commit; release builds
+    /// Checked after every version commit in debug builds; release builds
     /// pay nothing.
-    pub fn validate(&self) -> std::result::Result<(), String> {
+    fn validate(&self) -> std::result::Result<(), String> {
         for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
             let guards = &level.guards;
             if guards.is_empty() || !guards[0].is_sentinel() {
@@ -316,263 +400,6 @@ impl FlsmVersion {
     }
 }
 
-/// Searches one sstable; the outer `Option` says whether this file holds a
-/// version of the key, the payload is that version's sequence and its value
-/// (`None` = tombstone) so callers can pick the newest match across the
-/// overlapping files of a guard.
-fn search_file(
-    read_options: &ReadOptions,
-    file: &Arc<FileMetaData>,
-    key: &LookupKey,
-    table_cache: &TableCache,
-) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
-    let table = table_cache.get_table(file.number, file.file_size)?;
-    if !table.may_contain_user_key(key.user_key()) {
-        return Ok(None);
-    }
-    match table.get(read_options, key.internal_key())? {
-        Some((found_key, value)) => match parse_internal_key(&found_key) {
-            Some(parsed) if parsed.user_key == key.user_key() => match parsed.value_type {
-                ValueType::Value => Ok(Some((parsed.sequence, Some(LookupValue::Inline(value))))),
-                ValueType::ValuePointer => Ok(Some((
-                    parsed.sequence,
-                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?)),
-                ))),
-                ValueType::Deletion => Ok(Some((parsed.sequence, None))),
-            },
-            _ => Ok(None),
-        },
-        None => Ok(None),
-    }
-}
-
-/// A record of FLSM layout changes, persisted in the MANIFEST.
-#[derive(Debug, Default, Clone)]
-pub struct FlsmVersionEdit {
-    /// New write-ahead log number.
-    pub log_number: Option<u64>,
-    /// Next file number to allocate.
-    pub next_file_number: Option<u64>,
-    /// Last sequence number.
-    pub last_sequence: Option<SequenceNumber>,
-    /// Files removed: `(level, file number)`.
-    pub deleted_files: Vec<(usize, u64)>,
-    /// Files added: `(level, metadata)`. Files are re-attached to guards by
-    /// their smallest key when the version is rebuilt.
-    pub new_files: Vec<(usize, FileMetaDataEdit)>,
-    /// Guard keys committed at a level (they also apply to deeper levels,
-    /// which is re-derived when the version is rebuilt).
-    pub new_guards: Vec<(usize, Vec<u8>)>,
-}
-
-const TAG_LOG_NUMBER: u32 = 1;
-const TAG_NEXT_FILE_NUMBER: u32 = 2;
-const TAG_LAST_SEQUENCE: u32 = 3;
-const TAG_DELETED_FILE: u32 = 4;
-const TAG_NEW_FILE: u32 = 5;
-const TAG_NEW_GUARD: u32 = 7;
-
-impl FlsmVersionEdit {
-    /// Serialises the edit.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        if let Some(v) = self.log_number {
-            put_varint32(&mut out, TAG_LOG_NUMBER);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.next_file_number {
-            put_varint32(&mut out, TAG_NEXT_FILE_NUMBER);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.last_sequence {
-            put_varint32(&mut out, TAG_LAST_SEQUENCE);
-            put_varint64(&mut out, v);
-        }
-        for (level, number) in &self.deleted_files {
-            put_varint32(&mut out, TAG_DELETED_FILE);
-            put_varint32(&mut out, *level as u32);
-            put_varint64(&mut out, *number);
-        }
-        for (level, file) in &self.new_files {
-            put_varint32(&mut out, TAG_NEW_FILE);
-            put_varint32(&mut out, *level as u32);
-            put_varint64(&mut out, file.number);
-            put_varint64(&mut out, file.file_size);
-            put_length_prefixed_slice(&mut out, &file.smallest);
-            put_length_prefixed_slice(&mut out, &file.largest);
-        }
-        for (level, key) in &self.new_guards {
-            put_varint32(&mut out, TAG_NEW_GUARD);
-            put_varint32(&mut out, *level as u32);
-            put_length_prefixed_slice(&mut out, key);
-        }
-        out
-    }
-
-    /// Decodes an edit.
-    pub fn decode(data: &[u8]) -> Result<FlsmVersionEdit> {
-        let mut edit = FlsmVersionEdit::default();
-        let mut dec = Decoder::new(data);
-        while !dec.is_empty() {
-            let tag = dec.read_varint32()?;
-            match tag {
-                TAG_LOG_NUMBER => edit.log_number = Some(dec.read_varint64()?),
-                TAG_NEXT_FILE_NUMBER => edit.next_file_number = Some(dec.read_varint64()?),
-                TAG_LAST_SEQUENCE => edit.last_sequence = Some(dec.read_varint64()?),
-                TAG_DELETED_FILE => {
-                    let level = dec.read_varint32()? as usize;
-                    let number = dec.read_varint64()?;
-                    edit.deleted_files.push((level, number));
-                }
-                TAG_NEW_FILE => {
-                    let level = dec.read_varint32()? as usize;
-                    let number = dec.read_varint64()?;
-                    let file_size = dec.read_varint64()?;
-                    let smallest = dec.read_length_prefixed_slice()?.to_vec();
-                    let largest = dec.read_length_prefixed_slice()?.to_vec();
-                    edit.new_files.push((
-                        level,
-                        FileMetaDataEdit {
-                            number,
-                            file_size,
-                            smallest,
-                            largest,
-                        },
-                    ));
-                }
-                TAG_NEW_GUARD => {
-                    let level = dec.read_varint32()? as usize;
-                    let key = dec.read_length_prefixed_slice()?.to_vec();
-                    edit.new_guards.push((level, key));
-                }
-                other => {
-                    return Err(Error::corruption(format!(
-                        "unknown FLSM version edit tag {other}"
-                    )))
-                }
-            }
-        }
-        Ok(edit)
-    }
-
-    /// Convenience helper to record a new file.
-    pub fn add_file(&mut self, level: usize, file: &FileMetaData) {
-        self.new_files.push((
-            level,
-            FileMetaDataEdit {
-                number: file.number,
-                file_size: file.file_size,
-                smallest: file.smallest.encoded().to_vec(),
-                largest: file.largest.encoded().to_vec(),
-            },
-        ));
-    }
-
-    /// Convenience helper to record a deleted file.
-    pub fn delete_file(&mut self, level: usize, number: u64) {
-        self.deleted_files.push((level, number));
-    }
-}
-
-/// Rebuilds an [`FlsmVersion`] from guard keys and file lists.
-pub struct FlsmVersionBuilder {
-    max_levels: usize,
-    /// Guard keys per level (sentinel excluded).
-    guard_keys: Vec<BTreeSet<Vec<u8>>>,
-    /// Files per level (level 0 included at index 0).
-    files: Vec<Vec<Arc<FileMetaData>>>,
-}
-
-impl FlsmVersionBuilder {
-    /// Starts from an existing version.
-    pub fn from_version(version: &FlsmVersion) -> Self {
-        let max_levels = version.num_levels();
-        let mut guard_keys = vec![BTreeSet::new(); max_levels];
-        let mut files = vec![Vec::new(); max_levels];
-        files[0] = version.level0.clone();
-        for (level_idx, level) in version.levels.iter().enumerate().skip(1) {
-            for guard in &level.guards {
-                if !guard.is_sentinel() {
-                    guard_keys[level_idx].insert(guard.key.clone());
-                }
-            }
-            files[level_idx] = level.unique_files();
-        }
-        FlsmVersionBuilder {
-            max_levels,
-            guard_keys,
-            files,
-        }
-    }
-
-    /// Starts from an empty version with `max_levels` levels.
-    pub fn new(max_levels: usize) -> Self {
-        FlsmVersionBuilder {
-            max_levels,
-            guard_keys: vec![BTreeSet::new(); max_levels],
-            files: vec![Vec::new(); max_levels],
-        }
-    }
-
-    /// Applies one edit.
-    pub fn apply(&mut self, edit: &FlsmVersionEdit) {
-        for (level, key) in &edit.new_guards {
-            // A guard at level i is a guard at every deeper level too.
-            for deeper in *level..self.max_levels {
-                self.guard_keys[deeper].insert(key.clone());
-            }
-        }
-        for (level, number) in &edit.deleted_files {
-            if *level < self.max_levels {
-                self.files[*level].retain(|f| f.number != *number);
-            }
-        }
-        for (level, file) in &edit.new_files {
-            if *level < self.max_levels {
-                self.files[*level].push(Arc::new(FileMetaData::new(
-                    file.number,
-                    file.file_size,
-                    pebblesdb_common::InternalKey::from_encoded(file.smallest.clone()),
-                    pebblesdb_common::InternalKey::from_encoded(file.largest.clone()),
-                )));
-            }
-        }
-    }
-
-    /// Produces the resulting version, attaching files to guards by their
-    /// smallest user key.
-    pub fn finish(self) -> FlsmVersion {
-        let mut version = FlsmVersion::new(self.max_levels);
-        let mut level0 = self.files[0].clone();
-        level0.sort_by_key(|f| std::cmp::Reverse(f.number));
-        version.level0 = level0;
-
-        for level_idx in 1..self.max_levels {
-            let keys: Vec<Vec<u8>> = self.guard_keys[level_idx].iter().cloned().collect();
-            let mut guards: Vec<GuardMeta> = Vec::with_capacity(keys.len() + 1);
-            guards.push(GuardMeta::new(Vec::new()));
-            for key in &keys {
-                guards.push(GuardMeta::new(key.clone()));
-            }
-            for file in &self.files[level_idx] {
-                // A file is attached to every guard its key range overlaps.
-                // Freshly compacted files land in exactly one guard; only
-                // files written before a guard was committed can span more.
-                let first = guard_index_for_key(&keys, file.smallest.user_key());
-                let last = guard_index_for_key(&keys, file.largest.user_key());
-                for guard in guards.iter_mut().take(last + 1).skip(first) {
-                    guard.files.push(Arc::clone(file));
-                }
-            }
-            for guard in &mut guards {
-                guard.files.sort_by_key(|f| std::cmp::Reverse(f.number));
-            }
-            version.levels[level_idx] = FlsmLevel { guards };
-        }
-        version
-    }
-}
-
 /// Why a compaction was scheduled (used for stats and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactionReason {
@@ -590,374 +417,15 @@ pub enum CompactionReason {
     Manual,
 }
 
-/// Owns the current [`FlsmVersion`], the MANIFEST and file numbering.
-pub struct FlsmVersionSet {
-    env: Arc<dyn Env>,
-    db_path: PathBuf,
-    options: StoreOptions,
-    current: Arc<FlsmVersion>,
-    live_versions: Vec<Weak<FlsmVersion>>,
-    manifest: Option<LogWriter>,
-    manifest_number: u64,
-    next_file_number: u64,
-    /// Sequence number of the most recent write.
-    pub last_sequence: SequenceNumber,
-    /// Write-ahead log number reflected in `current`.
-    pub log_number: u64,
-}
-
-impl FlsmVersionSet {
-    /// Creates a version set for the database at `db_path`.
-    pub fn new(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Self {
-        let levels = options.max_levels;
-        FlsmVersionSet {
-            env,
-            db_path,
-            options,
-            current: Arc::new(FlsmVersion::new(levels)),
-            live_versions: Vec::new(),
-            manifest: None,
-            manifest_number: 1,
-            next_file_number: 2,
-            last_sequence: 0,
-            log_number: 0,
-        }
-    }
-
-    /// The current version, pinned against file deletion.
-    pub fn current(&mut self) -> Arc<FlsmVersion> {
-        let version = Arc::clone(&self.current);
-        self.live_versions.push(Arc::downgrade(&version));
-        version
-    }
-
-    /// A read-only peek at the current version.
-    pub fn current_unpinned(&self) -> &Arc<FlsmVersion> {
-        &self.current
-    }
-
-    /// Allocates a new file number.
-    pub fn new_file_number(&mut self) -> u64 {
-        let number = self.next_file_number;
-        self.next_file_number += 1;
-        number
-    }
-
-    /// Marks `number` as used (during recovery).
-    pub fn mark_file_number_used(&mut self, number: u64) {
-        if self.next_file_number <= number {
-            self.next_file_number = number + 1;
-        }
-    }
-
-    /// The file number of the live MANIFEST.
-    pub fn manifest_number(&self) -> u64 {
-        self.manifest_number
-    }
-
-    /// The store options.
-    pub fn options(&self) -> &StoreOptions {
-        &self.options
-    }
-
-    /// File numbers referenced by the current version or any pinned version.
-    pub fn all_live_file_numbers(&mut self) -> Vec<u64> {
-        self.live_files_and_pins().0
-    }
-
-    /// File numbers referenced by the current version or any pinned version,
-    /// plus whether a version *other than* `current` contributed (a read or
-    /// cursor still pins it). Both facts come from the same observation of
-    /// the pin list — a GC that keeps a pinned version's files must also
-    /// learn that a later pass may find more garbage, even if the pin drops
-    /// immediately afterwards.
-    pub fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        let mut live = self.current.live_file_numbers();
-        self.live_versions.retain(|weak| weak.strong_count() > 0);
-        let mut pinned = false;
-        for weak in &self.live_versions {
-            if let Some(version) = weak.upgrade() {
-                if !Arc::ptr_eq(&version, &self.current) {
-                    pinned = true;
-                    live.extend(version.live_file_numbers());
-                }
-            }
-        }
-        live.sort_unstable();
-        live.dedup();
-        (live, pinned)
-    }
-
-    /// Writes a fresh MANIFEST for an empty database.
-    pub fn create_new(&mut self) -> Result<()> {
-        self.rewrite_manifest()
-    }
-
-    /// Recovers from the MANIFEST named by `CURRENT`.
-    pub fn recover(&mut self) -> Result<()> {
-        let current = self
-            .env
-            .read_file_to_vec(&current_file_name(&self.db_path))?;
-        let name = String::from_utf8_lossy(&current);
-        let name = name.trim();
-        let manifest_number: u64 = name
-            .strip_prefix("MANIFEST-")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| Error::corruption("CURRENT does not name a manifest"))?;
-        let path = self.db_path.join(name);
-        let file = self.env.new_sequential_file(&path)?;
-        let mut reader = LogReader::new(file);
-
-        let mut builder = FlsmVersionBuilder::new(self.options.max_levels);
-        while let Some(record) = reader.read_record()? {
-            let edit = FlsmVersionEdit::decode(&record)?;
-            if let Some(v) = edit.log_number {
-                self.log_number = v;
-            }
-            if let Some(v) = edit.next_file_number {
-                self.next_file_number = v;
-            }
-            if let Some(v) = edit.last_sequence {
-                self.last_sequence = v;
-            }
-            builder.apply(&edit);
-        }
-        self.current = Arc::new(builder.finish());
-        self.mark_file_number_used(manifest_number);
-        self.rewrite_manifest()?;
-        Ok(())
-    }
-
-    /// Applies `edit`, logs it, and installs the resulting version.
-    pub fn log_and_apply(&mut self, mut edit: FlsmVersionEdit) -> Result<Arc<FlsmVersion>> {
-        if edit.log_number.is_none() {
-            edit.log_number = Some(self.log_number);
-        }
-        edit.next_file_number = Some(self.next_file_number);
-        edit.last_sequence = Some(self.last_sequence);
-
-        let mut builder = FlsmVersionBuilder::from_version(&self.current);
-        builder.apply(&edit);
-        let next = Arc::new(builder.finish());
-        // Guards must stay sorted and disjoint after every commit — with
-        // concurrent compaction jobs merging their edits through this
-        // serialized path, a violation here means two jobs claimed
-        // overlapping work.
-        #[cfg(debug_assertions)]
-        if let Err(violation) = next.validate() {
-            panic!("FLSM version invariant violated after commit: {violation}");
-        }
-
-        if self.manifest.is_none() {
-            self.rewrite_manifest()?;
-        }
-        if let Some(manifest) = self.manifest.as_mut() {
-            manifest.add_record(&edit.encode())?;
-            manifest.sync()?;
-        }
-        if let Some(v) = edit.log_number {
-            self.log_number = v;
-        }
-        self.current = Arc::clone(&next);
-        Ok(next)
-    }
-
-    /// Writes a full-snapshot MANIFEST and points `CURRENT` at it.
-    fn rewrite_manifest(&mut self) -> Result<()> {
-        let manifest_number = self.new_file_number();
-        let path = descriptor_file_name(&self.db_path, manifest_number);
-        let file = self.env.new_writable_file(&path)?;
-        let mut writer = LogWriter::new(file);
-
-        let mut snapshot = FlsmVersionEdit {
-            next_file_number: Some(self.next_file_number),
-            last_sequence: Some(self.last_sequence),
-            log_number: Some(self.log_number),
-            ..Default::default()
-        };
-        for file in &self.current.level0 {
-            snapshot.add_file(0, file);
-        }
-        for (level_idx, level) in self.current.levels.iter().enumerate().skip(1) {
-            for guard in &level.guards {
-                if !guard.is_sentinel() {
-                    snapshot.new_guards.push((level_idx, guard.key.clone()));
-                }
-                for file in &guard.files {
-                    snapshot.add_file(level_idx, file);
-                }
-            }
-        }
-        writer.add_record(&snapshot.encode())?;
-        writer.sync()?;
-        self.manifest = Some(writer);
-        self.manifest_number = manifest_number;
-        self.env.write_string_to_file_sync(
-            &current_file_name(&self.db_path),
-            format!("MANIFEST-{manifest_number:06}\n").as_bytes(),
-        )?;
-        Ok(())
-    }
-
-    /// Decides whether (and why) a compaction is needed, and at which level.
-    pub fn pick_compaction_level(&self) -> Option<(usize, CompactionReason)> {
-        self.compaction_candidates().into_iter().next()
-    }
-
-    /// Every level that currently wants a compaction, in priority order
-    /// (level 0 pressure, guard fanout, byte budgets, aggressive merging).
-    ///
-    /// The compaction pool walks this list so a worker whose preferred level
-    /// is fully claimed by in-flight jobs can still pick up independent work
-    /// at another level. Each level appears at most once, under its
-    /// highest-priority reason.
-    pub fn compaction_candidates(&self) -> Vec<(usize, CompactionReason)> {
-        let version = &self.current;
-        let mut candidates = Vec::new();
-        let mut seen = vec![false; version.num_levels()];
-        let push = |candidates: &mut Vec<(usize, CompactionReason)>,
-                    seen: &mut Vec<bool>,
-                    level: usize,
-                    reason: CompactionReason| {
-            if !seen[level] {
-                seen[level] = true;
-                candidates.push((level, reason));
-            }
-        };
-        // Level 0 is governed by file count.
-        if version.level0.len() >= self.options.level0_compaction_trigger {
-            push(&mut candidates, &mut seen, 0, CompactionReason::Level0Files);
-        }
-        // A guard over its sstable budget forces a compaction of its level.
-        // This includes the last level, which rewrites its guards in place
-        // (the paper's "exception to the no-rewrite rule").
-        for level in 1..version.num_levels() {
-            if version.levels[level].max_files_in_guard() > self.options.max_sstables_per_guard {
-                push(
-                    &mut candidates,
-                    &mut seen,
-                    level,
-                    CompactionReason::GuardFanout,
-                );
-            }
-        }
-        // Byte budgets.
-        for level in 1..version.num_levels() - 1 {
-            if version.level_bytes(level) > self.options.max_bytes_for_level(level) {
-                push(
-                    &mut candidates,
-                    &mut seen,
-                    level,
-                    CompactionReason::LevelBytes,
-                );
-            }
-        }
-        // Aggressive compaction: level i close in size to level i+1.
-        if self.options.enable_aggressive_compaction {
-            for level in 1..version.num_levels() - 1 {
-                let this = version.level_bytes(level);
-                let next = version.level_bytes(level + 1);
-                if this > 0
-                    && next > 0
-                    && (this as f64) >= self.options.aggressive_compaction_ratio * (next as f64)
-                    && this >= self.options.max_bytes_for_level(level) / 2
-                {
-                    push(
-                        &mut candidates,
-                        &mut seen,
-                        level,
-                        CompactionReason::Aggressive,
-                    );
-                }
-            }
-        }
-        candidates
-    }
-
-    /// Returns `true` if background compaction work is pending.
-    pub fn needs_compaction(&self) -> bool {
-        self.pick_compaction_level().is_some()
-    }
-}
-
-impl VersionMeta for FlsmVersion {
-    fn level0_len(&self) -> usize {
-        self.level0.len()
-    }
-    fn total_bytes(&self) -> u64 {
-        FlsmVersion::total_bytes(self)
-    }
-    fn num_files(&self) -> usize {
-        FlsmVersion::num_files(self)
-    }
-    fn file_sizes(&self) -> Vec<u64> {
-        FlsmVersion::file_sizes(self)
-    }
-    fn level_summary(&self) -> String {
-        FlsmVersion::level_summary(self)
-    }
-}
-
-impl VersionSetOps for FlsmVersionSet {
-    type Version = FlsmVersion;
-
-    fn recover(&mut self) -> Result<()> {
-        FlsmVersionSet::recover(self)
-    }
-    fn create_new(&mut self) -> Result<()> {
-        FlsmVersionSet::create_new(self)
-    }
-    fn log_number(&self) -> u64 {
-        self.log_number
-    }
-    fn last_sequence(&self) -> SequenceNumber {
-        self.last_sequence
-    }
-    fn set_last_sequence(&mut self, seq: SequenceNumber) {
-        self.last_sequence = seq;
-    }
-    fn new_file_number(&mut self) -> u64 {
-        FlsmVersionSet::new_file_number(self)
-    }
-    fn mark_file_number_used(&mut self, number: u64) {
-        FlsmVersionSet::mark_file_number_used(self, number)
-    }
-    fn manifest_number(&self) -> u64 {
-        FlsmVersionSet::manifest_number(self)
-    }
-    fn current(&mut self) -> Arc<FlsmVersion> {
-        FlsmVersionSet::current(self)
-    }
-    fn current_unpinned(&self) -> &Arc<FlsmVersion> {
-        FlsmVersionSet::current_unpinned(self)
-    }
-    fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        FlsmVersionSet::live_files_and_pins(self)
-    }
-    fn needs_compaction(&self) -> bool {
-        FlsmVersionSet::needs_compaction(self)
-    }
-    fn commit_level0(
-        &mut self,
-        meta: Option<&FileMetaData>,
-        log_number: Option<u64>,
-    ) -> Result<()> {
-        let mut edit = FlsmVersionEdit {
-            log_number,
-            ..Default::default()
-        };
-        if let Some(meta) = meta {
-            edit.add_file(0, meta);
-        }
-        self.log_and_apply(edit).map(|_| ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::FlsmPolicy;
     use pebblesdb_common::key::{InternalKey, ValueType};
-    use pebblesdb_env::MemEnv;
+    use pebblesdb_common::StoreOptions;
+    use pebblesdb_engine::{FileMetaDataEdit, ShapePolicy, VersionSet};
+    use pebblesdb_env::{Env, MemEnv};
+    use std::path::PathBuf;
 
     fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
         FileMetaDataEdit {
@@ -972,40 +440,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn edit_roundtrip_including_guards() {
-        let mut edit = FlsmVersionEdit {
-            log_number: Some(4),
-            last_sequence: Some(99),
-            ..Default::default()
-        };
-        edit.new_files.push((1, file_edit(7, "c", "h")));
-        edit.deleted_files.push((0, 3));
-        edit.new_guards.push((1, b"m".to_vec()));
-        edit.new_guards.push((2, b"t".to_vec()));
+    fn build(max_levels: usize, edit: &VersionEdit) -> FlsmVersion {
+        let mut builder = FlsmVersionBuilder::new(max_levels);
+        builder.apply(edit).unwrap();
+        builder.finish()
+    }
 
-        let decoded = FlsmVersionEdit::decode(&edit.encode()).unwrap();
-        assert_eq!(decoded.log_number, Some(4));
-        assert_eq!(decoded.last_sequence, Some(99));
-        assert_eq!(decoded.new_files.len(), 1);
-        assert_eq!(decoded.deleted_files, vec![(0, 3)]);
-        assert_eq!(
-            decoded.new_guards,
-            vec![(1, b"m".to_vec()), (2, b"t".to_vec())]
-        );
+    fn numbers<V: ShapeVersion>(version: &V, level: usize) -> Vec<u64> {
+        version
+            .level_files(level)
+            .iter()
+            .map(|f| f.number)
+            .collect()
     }
 
     #[test]
     fn builder_attaches_files_to_owning_guards() {
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, file_edit(10, "a", "d"))); // Sentinel.
         edit.new_files.push((1, file_edit(11, "p", "z"))); // Guard "m".
         edit.new_files.push((1, file_edit(12, "m", "n"))); // Guard "m".
         edit.new_files.push((0, file_edit(13, "a", "z"))); // Level 0.
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = build(4, &edit);
 
         assert_eq!(version.level0.len(), 1);
         let level1 = &version.levels[1];
@@ -1031,52 +488,70 @@ mod tests {
     #[test]
     fn deleting_files_keeps_guards() {
         let mut builder = FlsmVersionBuilder::new(3);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"g".to_vec()));
         edit.new_files.push((1, file_edit(5, "h", "k")));
-        builder.apply(&edit);
-        let mut second = FlsmVersionEdit::default();
+        builder.apply(&edit).unwrap();
+        let mut second = VersionEdit::default();
         second.delete_file(1, 5);
-        builder.apply(&second);
+        builder.apply(&second).unwrap();
         let version = builder.finish();
         assert_eq!(version.levels[1].num_files(), 0);
         assert_eq!(version.levels[1].guards.len(), 2);
         assert_eq!(version.empty_guards(), 4);
     }
 
+    /// A file committed before a guard that splits its range is attached to
+    /// both guards, but counted once and recorded once in a snapshot — and a
+    /// snapshot that lists it once per guard (as older MANIFESTs do) still
+    /// recovers to one attachment per guard.
     #[test]
-    fn version_set_persists_guards_across_recovery() {
+    fn spanning_files_are_counted_and_recorded_once() {
+        let mut edit = VersionEdit::default();
+        edit.new_guards.push((1, b"m".to_vec()));
+        edit.new_files.push((1, file_edit(20, "a", "z")));
+        let version = build(3, &edit);
+        assert_eq!(version.levels[1].guards[0].files.len(), 1);
+        assert_eq!(version.levels[1].guards[1].files.len(), 1);
+        assert_eq!(version.num_files(), 1);
+        assert_eq!(version.total_bytes(), 1000);
+        assert_eq!(version.file_sizes(), vec![1000]);
+        assert_eq!(version.live_file_numbers(), vec![20]);
+
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/flsm");
+        let db = PathBuf::from("/spanning");
         env.create_dir_all(&db).unwrap();
-        let opts = StoreOptions::default();
-
-        let mut vs = FlsmVersionSet::new(Arc::clone(&env), db.clone(), opts.clone());
+        let mut vs = VersionSet::<FlsmVersion>::new(Arc::clone(&env), db.clone(), 3);
         vs.create_new().unwrap();
-        vs.last_sequence = 500;
-        let mut edit = FlsmVersionEdit::default();
-        edit.new_guards.push((1, b"guard-key".to_vec()));
-        edit.new_files.push((1, file_edit(8, "x", "z")));
-        vs.log_and_apply(edit).unwrap();
-
-        let mut recovered = FlsmVersionSet::new(Arc::clone(&env), db, opts);
+        vs.log_and_apply(edit.clone()).unwrap();
+        let mut recovered = VersionSet::<FlsmVersion>::new(Arc::clone(&env), db.clone(), 3);
         recovered.recover().unwrap();
-        assert_eq!(recovered.last_sequence, 500);
-        let version = recovered.current_unpinned();
-        assert_eq!(version.levels[1].guards.len(), 2);
-        assert_eq!(version.levels[1].guards[1].key, b"guard-key".to_vec());
-        assert_eq!(version.levels[1].num_files(), 1);
+        // The recovery wrote a snapshot; it lists file 20 once.
+        let current = env.read_file_to_vec(&db.join("CURRENT")).unwrap();
+        let name = String::from_utf8(current).unwrap();
+        let file = env.new_sequential_file(&db.join(name.trim())).unwrap();
+        let record = pebblesdb_wal::LogReader::new(file)
+            .read_record()
+            .unwrap()
+            .unwrap();
+        let snapshot = VersionEdit::decode(&record).unwrap();
+        assert_eq!(snapshot.new_files.len(), 1);
+
+        // A duplicated file record is attached once per guard.
+        let mut duplicated = edit;
+        duplicated.new_files.push((1, file_edit(20, "a", "z")));
+        let version = build(3, &duplicated);
+        assert_eq!(version.levels[1].max_files_in_guard(), 1);
+        assert_eq!(version.num_files(), 1);
     }
 
     #[test]
     fn validate_accepts_built_versions_and_rejects_broken_ones() {
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, file_edit(10, "a", "d")));
         edit.new_files.push((1, file_edit(11, "m", "z")));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = build(4, &edit);
         assert!(version.validate().is_ok());
 
         // Out-of-order guards are rejected.
@@ -1093,31 +568,21 @@ mod tests {
         misfiled.levels[1].guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
         misfiled.levels[2].guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
         misfiled.levels[3].guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
-        let edit = file_edit(20, "x", "z");
-        let file = Arc::new(FileMetaData::new(
-            edit.number,
-            edit.file_size,
-            pebblesdb_common::InternalKey::from_encoded(edit.smallest),
-            pebblesdb_common::InternalKey::from_encoded(edit.largest),
-        ));
+        let file = Arc::new(FileMetaData::from_edit(&file_edit(20, "x", "z")));
         misfiled.levels[1].guards[0].files.push(file);
         assert!(misfiled.validate().is_err());
     }
 
     #[test]
     fn compaction_candidates_list_every_triggered_level_once() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/flsm-candidates");
-        env.create_dir_all(&db).unwrap();
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.max_sstables_per_guard = 2;
         opts.enable_aggressive_compaction = false;
-        let mut vs = FlsmVersionSet::new(env, db, opts);
-        vs.create_new().unwrap();
+        let policy = FlsmPolicy::new(&opts);
 
         // Trigger level 0 (two files) and guard fanout at levels 1 and 2.
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, file_edit(10, "a", "b")));
         edit.new_files.push((0, file_edit(11, "c", "d")));
         for n in 20..23 {
@@ -1126,59 +591,256 @@ mod tests {
         for n in 30..33 {
             edit.new_files.push((2, file_edit(n, "k", "p")));
         }
-        vs.log_and_apply(edit).unwrap();
+        let version = build(opts.max_levels, &edit);
 
-        let candidates = vs.compaction_candidates();
         assert_eq!(
-            candidates,
+            policy.compaction_candidates(&version),
             vec![
                 (0, CompactionReason::Level0Files),
                 (1, CompactionReason::GuardFanout),
                 (2, CompactionReason::GuardFanout),
             ]
         );
-        // The single-level picker returns the highest-priority candidate.
-        assert_eq!(
-            vs.pick_compaction_level(),
-            Some((0, CompactionReason::Level0Files))
-        );
     }
 
     #[test]
     fn compaction_triggers_cover_level0_guards_and_bytes() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/flsm2");
-        env.create_dir_all(&db).unwrap();
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.max_sstables_per_guard = 2;
         opts.base_level_bytes = 2500;
         opts.enable_aggressive_compaction = false;
-        let mut vs = FlsmVersionSet::new(env, db, opts);
-        vs.create_new().unwrap();
-        assert!(!vs.needs_compaction());
+        let policy = FlsmPolicy::new(&opts);
+        let first = |version: &FlsmVersion| policy.compaction_candidates(version).first().copied();
+        let mut builder = FlsmVersionBuilder::new(opts.max_levels);
+        assert!(!policy.needs_compaction(&FlsmVersionBuilder::new(opts.max_levels).finish()));
 
         // Two level-0 files trigger a level-0 compaction.
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, file_edit(10, "a", "b")));
         edit.new_files.push((0, file_edit(11, "c", "d")));
-        vs.log_and_apply(edit).unwrap();
-        assert_eq!(
-            vs.pick_compaction_level(),
-            Some((0, CompactionReason::Level0Files))
-        );
+        builder.apply(&edit).unwrap();
+        let version = builder.finish();
+        assert_eq!(first(&version), Some((0, CompactionReason::Level0Files)));
+        assert!(policy.needs_compaction(&version));
 
         // Guard fanout trigger: three files in one guard with budget 2.
-        let mut edit = FlsmVersionEdit::default();
+        let mut builder = FlsmVersionBuilder::from_version(&version);
+        let mut edit = VersionEdit::default();
         edit.delete_file(0, 10);
         edit.delete_file(0, 11);
         for n in 20..23 {
             edit.new_files.push((1, file_edit(n, "k", "p")));
         }
-        vs.log_and_apply(edit).unwrap();
+        builder.apply(&edit).unwrap();
+        let version = builder.finish();
+        assert_eq!(first(&version), Some((1, CompactionReason::GuardFanout)));
+
+        // Byte budget: level 1 holds 3000 bytes against a 2500-byte budget.
+        let mut opts = opts.clone();
+        opts.max_sstables_per_guard = 8;
+        let policy = FlsmPolicy::new(&opts);
         assert_eq!(
-            vs.pick_compaction_level(),
-            Some((1, CompactionReason::GuardFanout))
+            policy.compaction_candidates(&version),
+            vec![(1, CompactionReason::LevelBytes)]
         );
+    }
+
+    // ------------------------------------------------------------------
+    // The shared version-set suite. `pebblesdb_engine::VersionSet` and its
+    // edit codec exist once; every case below runs over both shapes — the
+    // guarded FLSM version and the LSM's sorted runs (the `pebblesdb-lsm`
+    // dev-dependency) — with guard records only where the shape has guards.
+    // ------------------------------------------------------------------
+
+    type LsmVersion = pebblesdb_lsm::Version;
+
+    /// `(edit, shape has guards)`: the same file changes, plus guard records
+    /// for the FLSM.
+    fn shape_edit(guards: bool) -> VersionEdit {
+        let mut edit = VersionEdit {
+            log_number: Some(12),
+            next_file_number: Some(55),
+            last_sequence: Some(9000),
+            ..Default::default()
+        };
+        edit.deleted_files.push((2, 40));
+        edit.new_files.push((1, file_edit(41, "a", "m")));
+        if guards {
+            edit.new_guards.push((1, b"m".to_vec()));
+            edit.new_guards.push((2, b"t".to_vec()));
+        }
+        edit
+    }
+
+    fn roundtrip_case<V: ShapeVersion>(guards: bool) {
+        let edit = shape_edit(guards);
+        let decoded = VersionEdit::decode(&edit.encode()).unwrap();
+        assert_eq!(decoded, edit);
+        assert_eq!(decoded.log_number, Some(12));
+        assert_eq!(decoded.next_file_number, Some(55));
+        assert_eq!(decoded.last_sequence, Some(9000));
+        assert_eq!(decoded.deleted_files, vec![(2, 40)]);
+        assert_eq!(decoded.new_files.len(), 1);
+        assert_eq!(decoded.new_files[0].0, 1);
+        assert_eq!(decoded.new_files[0].1.number, 41);
+        // The decoded edit builds the shape's version.
+        let mut builder = V::Builder::new(7);
+        builder.apply(&decoded).unwrap();
+        let version = builder.finish();
+        assert_eq!(numbers(&version, 1), vec![41]);
+        let expected_guards = if guards { 6 + 5 } else { 0 };
+        assert_eq!(version.snapshot_guards().len(), expected_guards);
+    }
+
+    #[test]
+    fn version_edit_roundtrip() {
+        roundtrip_case::<FlsmVersion>(true);
+        roundtrip_case::<LsmVersion>(false);
+    }
+
+    #[test]
+    fn edit_roundtrip_including_guards() {
+        let mut edit = VersionEdit {
+            log_number: Some(4),
+            last_sequence: Some(99),
+            ..Default::default()
+        };
+        edit.new_files.push((1, file_edit(7, "c", "h")));
+        edit.deleted_files.push((0, 3));
+        edit.new_guards.push((1, b"m".to_vec()));
+        edit.new_guards.push((2, b"t".to_vec()));
+
+        let decoded = VersionEdit::decode(&edit.encode()).unwrap();
+        assert_eq!(decoded.log_number, Some(4));
+        assert_eq!(decoded.last_sequence, Some(99));
+        assert_eq!(decoded.new_files.len(), 1);
+        assert_eq!(decoded.deleted_files, vec![(0, 3)]);
+        assert_eq!(
+            decoded.new_guards,
+            vec![(1, b"m".to_vec()), (2, b"t".to_vec())]
+        );
+    }
+
+    #[test]
+    fn corrupt_edit_is_rejected() {
+        assert!(VersionEdit::decode(&[99, 1, 2, 3]).is_err());
+        // A truncated record is corrupt for every shape.
+        let encoded = shape_edit(true).encode();
+        let err = VersionEdit::decode(&encoded[..encoded.len() - 1]).unwrap_err();
+        assert!(err.is_corruption());
+        // Guard records build an FLSM version, and are corruption to an LSM,
+        // whose sorted runs cannot hold overlapping files.
+        let guarded = shape_edit(true);
+        assert!(FlsmVersionBuilder::new(7).apply(&guarded).is_ok());
+        let mut lsm = <LsmVersion as ShapeVersion>::Builder::new(7);
+        assert!(lsm.apply(&guarded).unwrap_err().is_corruption());
+    }
+
+    fn persists_and_recovers_case<V: ShapeVersion>(guards: bool) {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/db");
+        env.create_dir_all(&db).unwrap();
+
+        let mut vs = VersionSet::<V>::new(Arc::clone(&env), db.clone(), 7);
+        vs.create_new().unwrap();
+        vs.last_sequence = 777;
+        let mut edit = VersionEdit {
+            log_number: Some(5),
+            ..Default::default()
+        };
+        edit.new_files.push((1, file_edit(9, "a", "k")));
+        edit.new_files.push((0, file_edit(10, "b", "c")));
+        if guards {
+            edit.new_guards.push((1, b"guard-key".to_vec()));
+        }
+        vs.log_and_apply(edit).unwrap();
+
+        let mut recovered = VersionSet::<V>::new(Arc::clone(&env), db, 7);
+        recovered.recover().unwrap();
+        assert_eq!(recovered.last_sequence, 777);
+        assert_eq!(recovered.log_number, 5);
+        // The recovery's own snapshot MANIFEST took the next number.
+        assert_eq!(recovered.manifest_number(), vs.next_file_number());
+        assert_eq!(recovered.next_file_number(), vs.next_file_number() + 1);
+        let version = recovered.current_unpinned();
+        for level in 0..7 {
+            assert_eq!(
+                numbers(version.as_ref(), level),
+                numbers(vs.current_unpinned().as_ref(), level)
+            );
+        }
+        assert_eq!(numbers(version.as_ref(), 1), vec![9]);
+        assert_eq!(
+            version.snapshot_guards(),
+            vs.current_unpinned().snapshot_guards()
+        );
+        assert_eq!(version.snapshot_guards().is_empty(), !guards);
+    }
+
+    #[test]
+    fn version_set_persists_and_recovers_state() {
+        persists_and_recovers_case::<FlsmVersion>(true);
+        persists_and_recovers_case::<LsmVersion>(false);
+    }
+
+    #[test]
+    fn version_set_persists_guards_across_recovery() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/flsm");
+        env.create_dir_all(&db).unwrap();
+
+        let mut vs = VersionSet::<FlsmVersion>::new(Arc::clone(&env), db.clone(), 7);
+        vs.create_new().unwrap();
+        vs.last_sequence = 500;
+        let mut edit = VersionEdit::default();
+        edit.new_guards.push((1, b"guard-key".to_vec()));
+        edit.new_files.push((1, file_edit(8, "x", "z")));
+        vs.log_and_apply(edit).unwrap();
+
+        let mut recovered = VersionSet::<FlsmVersion>::new(Arc::clone(&env), db, 7);
+        recovered.recover().unwrap();
+        assert_eq!(recovered.last_sequence, 500);
+        let version = recovered.current_unpinned();
+        assert_eq!(version.levels[1].guards.len(), 2);
+        assert_eq!(version.levels[1].guards[1].key, b"guard-key".to_vec());
+        assert_eq!(version.levels[1].num_files(), 1);
+    }
+
+    /// `spanning`: file 20 crosses a guard, so the FLSM attaches it twice;
+    /// it must still be one live file.
+    fn pinned_versions_case<V: ShapeVersion>(spanning: bool) {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/db3");
+        env.create_dir_all(&db).unwrap();
+        let mut vs = VersionSet::<V>::new(env, db, 7);
+        vs.create_new().unwrap();
+
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((1, file_edit(20, "a", "z")));
+        if spanning {
+            edit.new_guards.push((1, b"m".to_vec()));
+        }
+        vs.log_and_apply(edit).unwrap();
+        assert_eq!(vs.current_unpinned().live_file_numbers(), vec![20]);
+        assert_eq!(vs.current_unpinned().num_files(), 1);
+        assert_eq!(vs.current_unpinned().total_bytes(), 1000);
+        let pinned = vs.current();
+
+        // Replace file 20 with 21; 20 must stay live while `pinned` exists.
+        let mut edit = VersionEdit::default();
+        edit.delete_file(1, 20);
+        edit.new_files.push((1, file_edit(21, "a", "z")));
+        vs.log_and_apply(edit).unwrap();
+
+        assert_eq!(vs.live_files_and_pins(), (vec![20, 21], true));
+        drop(pinned);
+        assert_eq!(vs.live_files_and_pins(), (vec![21], false));
+    }
+
+    #[test]
+    fn live_file_numbers_include_pinned_versions() {
+        pinned_versions_case::<FlsmVersion>(true);
+        pinned_versions_case::<LsmVersion>(false);
     }
 }

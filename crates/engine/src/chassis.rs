@@ -68,9 +68,8 @@ use pebblesdb_wal::{LogReader, LogWriter, SegmentReplay};
 use crate::catalog::{self, Catalog, CatalogData};
 use crate::cdc::{ChangeLog, TailRead};
 use crate::meta::FileMetaData;
-use crate::policy::{
-    EngineIo, JobClaim, PolicyCtx, ShapePolicy, VersionMeta, VersionOf, VersionSetOps,
-};
+use crate::policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy, VersionOf};
+use crate::version::{ShapeVersion, VersionSet};
 use crate::vlog::{CfVlog, TakenVlog, VlogGcReport, VlogReaderCache};
 
 /// A handle to an open store built on the chassis.
@@ -92,9 +91,16 @@ pub struct EngineShared<P: ShapePolicy> {
 
 impl<P: ShapePolicy> Drop for EngineShared<P> {
     fn drop(&mut self) {
-        self.core.shutting_down.store(true, Ordering::SeqCst);
-        self.core.work_available.notify_all();
-        self.core.flush_available.notify_all();
+        {
+            // Set the flag and notify under the state mutex: a worker checks
+            // the flag under the lock and then waits, so a notify sent between
+            // its check and its wait would otherwise be lost and `join` below
+            // would block forever.
+            let _state = self.core.state.lock();
+            self.core.shutting_down.store(true, Ordering::SeqCst);
+            self.core.work_available.notify_all();
+            self.core.flush_available.notify_all();
+        }
         for handle in self.background_threads.lock().drain(..) {
             // `join` only errs if the thread panicked, and the panic has
             // already printed; re-raising it from a destructor would abort
@@ -160,7 +166,7 @@ pub struct CfState<P: ShapePolicy> {
     /// The immutable memtable being flushed, if any.
     pub imm: Option<Arc<MemTable>>,
     /// The family's version set (MANIFEST machinery).
-    pub versions: P::Versions,
+    pub versions: VersionSet<VersionOf<P>>,
     /// The policy's own mutable state (uncommitted guards, compaction
     /// pointers, pending seek requests, ...).
     pub policy: P::State,
@@ -257,7 +263,7 @@ impl<P: ShapePolicy> EngineState<P> {
     fn min_log_number(&self) -> u64 {
         self.cfs
             .values()
-            .map(|cf| cf.versions.log_number())
+            .map(|cf| cf.versions.log_number)
             .min()
             .unwrap_or(0)
     }
@@ -352,7 +358,11 @@ impl<P: ShapePolicy> EngineDb<P> {
             } else {
                 cf_io(&env, &dir, &options)
             };
-            let mut versions = policy.new_versions(&io);
+            let mut versions = VersionSet::new(
+                Arc::clone(&io.env),
+                io.db_path.clone(),
+                io.options.max_levels,
+            );
             if env.file_exists(&pebblesdb_common::filename::current_file_name(&dir)) {
                 versions.recover()?;
             } else {
@@ -361,7 +371,7 @@ impl<P: ShapePolicy> EngineDb<P> {
                 // (crash between the two); both start empty here.
                 versions.create_new()?;
             }
-            state.last_sequence = state.last_sequence.max(versions.last_sequence());
+            state.last_sequence = state.last_sequence.max(versions.last_sequence);
             // Vlog files are registered by directory listing, not in the
             // MANIFEST; their numbers must be re-marked used so a new file
             // never collides with a recovered one.
@@ -420,7 +430,7 @@ impl<P: ShapePolicy> EngineDb<P> {
         wal_births.insert(log_number, state.last_sequence);
         let last_sequence = state.last_sequence;
         for cf in state.cfs.values_mut() {
-            cf.versions.set_last_sequence(last_sequence);
+            cf.versions.last_sequence = last_sequence;
             cf.versions.commit_level0(None, Some(log_number))?;
             cf.mem_log_number = log_number;
         }
@@ -623,7 +633,7 @@ fn recover_wals<P: ShapePolicy>(
                 let Some(cf) = state.cfs.get_mut(&item.cf) else {
                     continue; // family dropped in the catalog
                 };
-                if number < cf.versions.log_number() {
+                if number < cf.versions.log_number {
                     continue; // already covered by this family's sstables
                 }
                 cf.mem
@@ -667,7 +677,7 @@ fn flush_recovery_memtable<P: ShapePolicy>(state: &mut EngineState<P>, cf_id: Cf
     let number = cf.versions.new_file_number();
     let mem = std::mem::replace(&mut cf.mem, Arc::new(MemTable::new()));
     if let Some(meta) = build_table_from_memtable(&cf.io, &mem, number)? {
-        cf.versions.set_last_sequence(last_sequence);
+        cf.versions.last_sequence = last_sequence;
         cf.versions.commit_level0(Some(&meta), None)?;
     }
     Ok(())
@@ -1491,7 +1501,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             .filter(|(_, cf)| !cf.dropping)
             .map(|(id, cf)| {
                 (
-                    cf.versions.needs_compaction(),
+                    self.policy.needs_compaction(cf.versions.current_unpinned()),
                     cf.versions.current_unpinned().level0_len(),
                     *id,
                 )
@@ -1561,7 +1571,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 .cfs
                 .get_mut(&cf_id)
                 .expect("claimed family is pinned by its active job");
-            cf.versions.set_last_sequence(last_sequence);
+            cf.versions.last_sequence = last_sequence;
             let mut ctx = PolicyCtx {
                 versions: &mut cf.versions,
                 state: &mut cf.policy,
@@ -1649,7 +1659,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         // than the active memtable's birth log; publish that as the
         // family's recovery floor.
         let mem_log_number = cf.mem_log_number;
-        cf.versions.set_last_sequence(last_sequence);
+        cf.versions.last_sequence = last_sequence;
         let commit = cf
             .versions
             .commit_level0(meta.as_ref(), Some(mem_log_number));
@@ -1672,9 +1682,9 @@ impl<P: ShapePolicy> EngineCore<P> {
                     && !other.dropping
                     && other.mem.is_empty()
                     && other.imm.is_none()
-                    && other.versions.log_number() < current_log
+                    && other.versions.log_number < current_log
                 {
-                    other.versions.set_last_sequence(last_sequence);
+                    other.versions.last_sequence = last_sequence;
                     other.versions.commit_level0(None, Some(current_log))?;
                 }
             }
@@ -1984,7 +1994,9 @@ impl<P: ShapePolicy> EngineCore<P> {
             }
             let busy = state.active_compactions > 0
                 || state.cfs.values().any(|cf| {
-                    cf.imm.is_some() || cf.flush_running || cf.versions.needs_compaction()
+                    cf.imm.is_some()
+                        || cf.flush_running
+                        || self.policy.needs_compaction(cf.versions.current_unpinned())
                 });
             if busy {
                 self.flush_available.notify_one();
@@ -2083,9 +2095,13 @@ impl<P: ShapePolicy> EngineCore<P> {
         let dir = catalog::cf_dir(&self.io.db_path, id);
         self.io.env.create_dir_all(&dir)?;
         let io = cf_io(&self.io.env, &dir, &self.io.options);
-        let mut versions = self.policy.new_versions(&io);
+        let mut versions = VersionSet::new(
+            Arc::clone(&io.env),
+            io.db_path.clone(),
+            io.options.max_levels,
+        );
         versions.create_new()?;
-        versions.set_last_sequence(state.last_sequence);
+        versions.last_sequence = state.last_sequence;
         versions.commit_level0(None, Some(state.log_file_number))?;
         let mem_log_number = state.log_file_number;
         let vlog = CfVlog::new(

@@ -4,7 +4,8 @@
 //! partition each level, and a classic LSM is the degenerate case where every
 //! level has exactly one implicit guard (section 3 of the paper). This crate
 //! makes that framing structural. Everything the two engines share — DB
-//! open/recovery (CURRENT/MANIFEST/WAL replay), the group-commit write path,
+//! open/recovery (CURRENT/MANIFEST/WAL replay), the MANIFEST codec and
+//! version set ([`VersionSet`]), the group-commit write path,
 //! `make_room_for_write` and memtable rotation, the dedicated flush thread,
 //! the compaction worker pool, pending-output/live-file garbage collection,
 //! the snapshot list and stats plumbing — lives here once, in
@@ -12,7 +13,8 @@
 //!
 //! A policy supplies only what actually differs between tree shapes:
 //!
-//! * which version-set (MANIFEST) format organises the levels,
+//! * how its version organises the levels, is built from MANIFEST edits and
+//!   decides that compaction is due,
 //! * how point gets and cursors route through a version,
 //! * how compaction jobs are picked, executed and committed, and
 //! * write/read observations (guard selection, seek-triggered compaction).
@@ -28,6 +30,7 @@ pub mod cdc;
 pub mod chassis;
 pub mod meta;
 pub mod policy;
+pub mod version;
 pub mod vlog;
 
 pub use cdc::{ChangeLog, TailBatch, TailRead};
@@ -35,7 +38,6 @@ pub use chassis::{
     CfState, ClaimedJob, EngineChangeStream, EngineCore, EngineDb, EngineShared, EngineState,
 };
 pub use meta::{FileMetaData, FileMetaDataEdit};
-pub use policy::{
-    EngineIo, JobClaim, PolicyCtx, ShapePolicy, VersionMeta, VersionOf, VersionSetOps,
-};
+pub use policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy, VersionOf};
+pub use version::{ShapeVersion, VersionBuilder, VersionEdit, VersionSet};
 pub use vlog::VlogGcReport;

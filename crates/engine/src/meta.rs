@@ -1,8 +1,8 @@
 //! Sstable metadata shared by every level organization.
 //!
 //! [`FileMetaData`] describes one live table; both the guard-organised FLSM
-//! version set and the sorted-run LSM version set reference tables through
-//! it, so it lives in the chassis crate rather than in either engine.
+//! version and the sorted-run LSM version reference tables through it, so it
+//! lives in the chassis crate rather than in either engine.
 
 use std::sync::atomic::{AtomicI64, Ordering as AtomicOrdering};
 
@@ -57,6 +57,16 @@ impl FileMetaData {
         true
     }
 
+    /// Rebuilds the in-memory metadata of a file a version edit added.
+    pub fn from_edit(edit: &FileMetaDataEdit) -> Self {
+        FileMetaData::new(
+            edit.number,
+            edit.file_size,
+            InternalKey::from_encoded(edit.smallest.clone()),
+            InternalKey::from_encoded(edit.largest.clone()),
+        )
+    }
+
     /// Decrements the seek allowance, returning `true` when it hits zero.
     pub fn record_seek(&self) -> bool {
         self.allowed_seeks.fetch_sub(1, AtomicOrdering::Relaxed) == 1
@@ -64,7 +74,7 @@ impl FileMetaData {
 }
 
 /// The serialisable subset of [`FileMetaData`] carried in a version edit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMetaDataEdit {
     /// File number.
     pub number: u64,
@@ -74,6 +84,17 @@ pub struct FileMetaDataEdit {
     pub smallest: Vec<u8>,
     /// Largest internal key.
     pub largest: Vec<u8>,
+}
+
+impl From<&FileMetaData> for FileMetaDataEdit {
+    fn from(file: &FileMetaData) -> Self {
+        FileMetaDataEdit {
+            number: file.number,
+            file_size: file.file_size,
+            smallest: file.smallest.encoded().to_vec(),
+            largest: file.largest.encoded().to_vec(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -28,11 +28,13 @@ use pebblesdb_common::{
     CfStats, ColumnFamilyHandle, Db, Error, KvStore, ReadOptions, Result, StoreOptions,
     StorePreset, StoreStats, WriteBatch, WriteOptions,
 };
-use pebblesdb_engine::{EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{
+    EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, ShapeVersion, VersionEdit,
+};
 use pebblesdb_env::Env;
 use pebblesdb_sstable::TableBuilder;
 
-use crate::version::{FileMetaDataEdit, Version, VersionEdit, VersionSet};
+use crate::version::Version;
 
 /// The leveled-compaction shape: one implicit guard per level.
 pub struct LsmPolicy {
@@ -67,16 +69,12 @@ impl LsmCompactionJob {
 }
 
 impl ShapePolicy for LsmPolicy {
-    type Versions = VersionSet;
+    type Version = Version;
     type State = LsmPolicyState;
     type Job = LsmCompactionJob;
 
     fn engine_name(&self) -> String {
         self.preset.name().to_string()
-    }
-
-    fn new_versions(&self, io: &EngineIo) -> VersionSet {
-        VersionSet::new(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())
     }
 
     fn new_state(&self) -> LsmPolicyState {
@@ -128,6 +126,10 @@ impl ShapePolicy for LsmPolicy {
 
     // ------------------------------------------------------------ compaction
 
+    fn needs_compaction(&self, version: &Version) -> bool {
+        self.pick_compaction_level(version).is_some()
+    }
+
     /// Classic leveled compaction rewrites every overlapping next-level
     /// range, so jobs cannot be carved into disjoint units the way guards
     /// allow: a job is claimable only when no other job is in flight, which
@@ -140,7 +142,7 @@ impl ShapePolicy for LsmPolicy {
         if !ctx.claimed_inputs.is_empty() {
             return None;
         }
-        let (level, _score) = ctx.versions.pick_compaction_level()?;
+        let (level, _score) = self.pick_compaction_level(ctx.versions.current_unpinned())?;
         let version = ctx.versions.current();
 
         let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
@@ -237,15 +239,7 @@ impl ShapePolicy for LsmPolicy {
             let file = &job.inputs[0];
             let mut edit = VersionEdit::default();
             edit.delete_file(job.level, file.number);
-            edit.new_files.push((
-                job.level + 1,
-                FileMetaDataEdit {
-                    number: file.number,
-                    file_size: file.file_size,
-                    smallest: file.smallest.encoded().to_vec(),
-                    largest: file.largest.encoded().to_vec(),
-                },
-            ));
+            edit.add_file(job.level + 1, file);
             ctx.state.compact_pointer[job.level] = file.largest.encoded().to_vec();
             ctx.versions.log_and_apply(edit)?;
             return Ok((0, 0));
@@ -286,6 +280,23 @@ impl LsmPolicy {
             options: options.clone(),
             preset: StorePreset::HyperLevelDb,
         }
+    }
+
+    /// Returns the level with the highest compaction score, if any level is
+    /// over budget. Level 0 is scored by file count, deeper levels by bytes.
+    pub fn pick_compaction_level(&self, version: &Version) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for level in 0..version.num_levels() - 1 {
+            let score = if level == 0 {
+                version.files[0].len() as f64 / self.options.level0_compaction_trigger as f64
+            } else {
+                version.level_bytes(level) as f64 / self.options.max_bytes_for_level(level) as f64
+            };
+            if score >= 1.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
+                best = Some((level, score));
+            }
+        }
+        best
     }
 
     /// The IO part of a compaction: merge the inputs and write output tables.
