@@ -11,10 +11,10 @@
 
 use std::sync::Arc;
 
-use pebblesdb_bench::engines::{open_bench_env, scaled_options};
+use pebblesdb_bench::engines::{open_bench_env, open_engine_with_options, scaled_options};
 use pebblesdb_bench::report::format_kops;
 use pebblesdb_bench::{Args, EngineKind, Report, Workload};
-use pebblesdb_common::{KvStore, StorePreset};
+use pebblesdb_common::KvStore;
 
 fn open_with(
     engine: EngineKind,
@@ -29,24 +29,7 @@ fn open_with(
         options.write_buffer_size = 64 << 10;
         options.max_open_files = 50;
     }
-    match engine {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            Arc::new(pebblesdb::PebblesDb::open_with_options(env, dir, options).expect("open"))
-        }
-        EngineKind::BTree => {
-            Arc::new(pebblesdb_btree::BTreeStore::open(env, dir, options).expect("open"))
-        }
-        EngineKind::HyperLevelDb | EngineKind::LevelDb | EngineKind::RocksDb => {
-            let preset = match engine {
-                EngineKind::LevelDb => StorePreset::LevelDb,
-                EngineKind::RocksDb => StorePreset::RocksDb,
-                _ => StorePreset::HyperLevelDb,
-            };
-            Arc::new(
-                pebblesdb_lsm::LsmDb::open_with_options(env, dir, options, preset).expect("open"),
-            )
-        }
-    }
+    open_engine_with_options(engine, env, dir, options).expect("open")
 }
 
 fn age_store(store: &Arc<dyn KvStore>, keys: u64, value_size: usize) {

@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pebblesdb::ShapePolicy;
 use pebblesdb_bench::keygen::{bench_key, bench_value_compressible};
 use pebblesdb_bench::report::{format_kops, Report};
 use pebblesdb_bench::Args;
@@ -101,8 +102,14 @@ fn main() {
                 ..Default::default()
             };
             Arc::new(
-                pebblesdb::PebblesDb::open_sharded(env, Path::new("/net-bench"), options, config)
-                    .expect("open sharded store"),
+                pebblesdb_shard::ShardedDb::open_with(
+                    pebblesdb::FlsmPolicy::new,
+                    env,
+                    Path::new("/net-bench"),
+                    options,
+                    config,
+                )
+                .expect("open sharded store"),
             )
         } else {
             Arc::new(

@@ -3,11 +3,12 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb::PebblesDb;
+use pebblesdb::{FlsmPolicy, PebblesDb, ShapePolicy};
 use pebblesdb_btree::BTreeStore;
 use pebblesdb_common::{Db, KvStore, PrefixDb, Result, StoreOptions, StorePreset};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
-use pebblesdb_lsm::LsmDb;
+use pebblesdb_lsm::{LsmDb, LsmPolicy};
+use pebblesdb_shard::{ShardConfig, ShardedDb};
 
 /// Which store an experiment runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,20 +74,24 @@ impl EngineKind {
             _ => None,
         }
     }
+
+    /// The paper preset this engine runs with. The B+Tree borrows LevelDB's
+    /// buffer and cache sizes.
+    pub fn preset(self) -> StorePreset {
+        match self {
+            EngineKind::PebblesDb => StorePreset::PebblesDb,
+            EngineKind::PebblesDb1 => StorePreset::PebblesDb1,
+            EngineKind::HyperLevelDb => StorePreset::HyperLevelDb,
+            EngineKind::LevelDb | EngineKind::BTree => StorePreset::LevelDb,
+            EngineKind::RocksDb => StorePreset::RocksDb,
+        }
+    }
 }
 
 /// Benchmark options: the paper-preset parameters scaled down by
 /// `scale_divisor` so multi-level behaviour appears at laptop-size datasets.
 pub fn scaled_options(kind: EngineKind, scale_divisor: usize) -> StoreOptions {
-    let preset = match kind {
-        EngineKind::PebblesDb => StorePreset::PebblesDb,
-        EngineKind::PebblesDb1 => StorePreset::PebblesDb1,
-        EngineKind::HyperLevelDb => StorePreset::HyperLevelDb,
-        EngineKind::LevelDb => StorePreset::LevelDb,
-        EngineKind::RocksDb => StorePreset::RocksDb,
-        EngineKind::BTree => StorePreset::LevelDb,
-    };
-    let mut options = StoreOptions::with_preset(preset).scale_down(scale_divisor);
+    let mut options = StoreOptions::with_preset(kind.preset()).scale_down(scale_divisor);
     // Guard density is tuned for the scaled-down key counts used in the
     // harness (tens of thousands to a few million keys): roughly a few dozen
     // guards in the deepest populated level, as in the paper's configuration.
@@ -123,30 +128,10 @@ pub fn open_engine_with_options(
     dir: &Path,
     options: StoreOptions,
 ) -> Result<Arc<dyn KvStore>> {
-    Ok(match kind {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            Arc::new(PebblesDb::open_with_options(env, dir, options)?)
-        }
-        EngineKind::HyperLevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::HyperLevelDb,
-        )?),
-        EngineKind::LevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::LevelDb,
-        )?),
-        EngineKind::RocksDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::RocksDb,
-        )?),
-        EngineKind::BTree => Arc::new(BTreeStore::open(env, dir, options)?),
-    })
+    if kind == EngineKind::BTree {
+        return Ok(Arc::new(BTreeStore::open(env, dir, options)?));
+    }
+    Ok(open_chassis(kind, env, dir, options, None)?)
 }
 
 /// Opens the engine `kind` as a multi-namespace [`Db`]. The LSM-family
@@ -168,36 +153,15 @@ pub fn open_db_with_options(
     dir: &Path,
     options: StoreOptions,
 ) -> Result<Arc<dyn Db>> {
-    Ok(match kind {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            Arc::new(PebblesDb::open_with_options(env, dir, options)?)
-        }
-        EngineKind::HyperLevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::HyperLevelDb,
-        )?),
-        EngineKind::LevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::LevelDb,
-        )?),
-        EngineKind::RocksDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::RocksDb,
-        )?),
-        EngineKind::BTree => Arc::new(PrefixDb::new(Arc::new(BTreeStore::open(
+    if kind == EngineKind::BTree {
+        return Ok(Arc::new(PrefixDb::new(Arc::new(BTreeStore::open(
             env, dir, options,
-        )?))),
-    })
+        )?))));
+    }
+    open_chassis(kind, env, dir, options, None)
 }
 
-/// Opens the engine `kind` as a [`ShardedDb`](pebblesdb_shard::ShardedDb)
-/// facade over `config.shards` independent instances (each with its own
+/// Opens the engine `kind` as a [`ShardedDb`] facade over `config.shards` independent instances (each with its own
 /// WAL, flush thread and compaction pool) in `shard-<i>/` subdirectories of
 /// `dir`. Only the LSM-family engines shard — the B+Tree has no shape
 /// policy to replicate.
@@ -206,26 +170,38 @@ pub fn open_sharded_db_with_options(
     env: Arc<dyn Env>,
     dir: &Path,
     options: StoreOptions,
-    config: pebblesdb_shard::ShardConfig,
+    config: ShardConfig,
 ) -> Result<Arc<dyn Db>> {
-    let preset = match kind {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            return Ok(Arc::new(PebblesDb::open_sharded(
-                env, dir, options, config,
-            )?));
-        }
-        EngineKind::HyperLevelDb => StorePreset::HyperLevelDb,
-        EngineKind::LevelDb => StorePreset::LevelDb,
-        EngineKind::RocksDb => StorePreset::RocksDb,
-        EngineKind::BTree => {
+    open_chassis(kind, env, dir, options, Some(config))
+}
+
+/// Opens an LSM-family engine on the shared chassis, shaped and labelled by
+/// `kind.preset()`: one store, or a [`ShardedDb`] of them when `shards` is
+/// set. The B+Tree has no shape policy and is rejected.
+fn open_chassis(
+    kind: EngineKind,
+    env: Arc<dyn Env>,
+    dir: &Path,
+    options: StoreOptions,
+    shards: Option<ShardConfig>,
+) -> Result<Arc<dyn Db>> {
+    let preset = kind.preset();
+    let lsm = |o: &StoreOptions| LsmPolicy::with_preset(o, preset);
+    Ok(match (kind, shards) {
+        (EngineKind::BTree, _) => {
             return Err(pebblesdb_common::Error::invalid_argument(
                 "--shards requires an LSM-family engine",
             ));
         }
-    };
-    Ok(Arc::new(LsmDb::open_sharded(
-        env, dir, options, preset, config,
-    )?))
+        (EngineKind::PebblesDb | EngineKind::PebblesDb1, None) => {
+            Arc::new(PebblesDb::open_with_options(env, dir, options)?)
+        }
+        (EngineKind::PebblesDb | EngineKind::PebblesDb1, Some(config)) => Arc::new(
+            ShardedDb::open_with(FlsmPolicy::new, env, dir, options, config)?,
+        ),
+        (_, None) => Arc::new(LsmDb::open(lsm(&options), env, dir, options)?),
+        (_, Some(config)) => Arc::new(ShardedDb::open_with(lsm, env, dir, options, config)?),
+    })
 }
 
 /// Creates the environment requested by `--env` (`mem` or `disk`).

@@ -10,22 +10,16 @@
 //! bloom filters, parallel seeks and seek-triggered compaction to claw back
 //! the read performance the FLSM structure gives up.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::key::LookupKey;
-use pebblesdb_common::snapshot::Snapshot;
 use pebblesdb_common::vlog::LookupValue;
-use pebblesdb_common::{
-    CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
-    StoreStats, WriteBatch, WriteOptions,
-};
+use pebblesdb_common::{ReadOptions, Result, StoreOptions, StorePreset};
 use pebblesdb_engine::{
     EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, ShapeVersion, VersionEdit,
 };
-use pebblesdb_env::Env;
 
 use crate::compaction::{build_compaction_job, run_compaction_io, FlsmCompactionJob};
 use crate::guards::{GuardPicker, UncommittedGuards};
@@ -49,23 +43,6 @@ pub struct FlsmPolicyState {
 }
 
 impl FlsmPolicy {
-    /// Builds the FLSM shape from `options`. Public so chassis-generic
-    /// plumbing (sharding, the replication follower) can open an
-    /// FLSM-shaped [`EngineDb`] directly.
-    pub fn new(options: &StoreOptions) -> FlsmPolicy {
-        let label = if options.max_sstables_per_guard == 1 {
-            StorePreset::PebblesDb1.name()
-        } else {
-            StorePreset::PebblesDb.name()
-        };
-        FlsmPolicy {
-            guard_picker: GuardPicker::new(options),
-            options: options.clone(),
-            consecutive_seeks: AtomicUsize::new(0),
-            label,
-        }
-    }
-
     /// Picks the level whose guards hold the most overlapping sstables for a
     /// seek-triggered compaction, if any guard has at least two.
     fn pick_seek_compaction_level(version: &FlsmVersion) -> Option<usize> {
@@ -140,6 +117,21 @@ impl ShapePolicy for FlsmPolicy {
     type Version = FlsmVersion;
     type State = FlsmPolicyState;
     type Job = FlsmCompactionJob;
+
+    /// Labelled PebblesDB-1 when each guard may hold a single sstable.
+    fn new(options: &StoreOptions) -> FlsmPolicy {
+        let label = if options.max_sstables_per_guard == 1 {
+            StorePreset::PebblesDb1.name()
+        } else {
+            StorePreset::PebblesDb.name()
+        };
+        FlsmPolicy {
+            guard_picker: GuardPicker::new(options),
+            options: options.clone(),
+            consecutive_seeks: AtomicUsize::new(0),
+            label,
+        }
+    }
 
     fn engine_name(&self) -> String {
         self.label.to_string()
@@ -370,164 +362,19 @@ impl ShapePolicy for FlsmPolicy {
     }
 }
 
-/// A handle to an open PebblesDB database.
-///
-/// Everything but the guarded-FLSM policy runs in the shared engine chassis
-/// ([`EngineDb`]); the LSM baseline shares the same machinery with a
-/// one-implicit-guard-per-level policy.
-pub struct PebblesDb {
-    db: EngineDb<FlsmPolicy>,
-}
-
-impl PebblesDb {
-    /// Opens (creating if necessary) a PebblesDB database at `path`.
-    pub fn open(env: Arc<dyn Env>, path: &Path) -> Result<PebblesDb> {
-        Self::open_with_options(env, path, StoreOptions::with_preset(StorePreset::PebblesDb))
-    }
-
-    /// Opens a database with explicit options.
-    pub fn open_with_options(
-        env: Arc<dyn Env>,
-        path: &Path,
-        options: StoreOptions,
-    ) -> Result<PebblesDb> {
-        let policy = FlsmPolicy::new(&options);
-        Ok(PebblesDb {
-            db: EngineDb::open(policy, env, path, options)?,
-        })
-    }
-
-    /// Opens (creating if necessary) a sharded store of FLSM engines at
-    /// `path`: `config.shards` independent [`PebblesDb`]-shaped instances in
-    /// `shard-<i>/` subdirectories behind one [`Db`] facade. See
-    /// [`pebblesdb_shard`] for the routing and commit protocol.
-    pub fn open_sharded(
-        env: Arc<dyn Env>,
-        path: &Path,
-        options: StoreOptions,
-        config: pebblesdb_shard::ShardConfig,
-    ) -> Result<pebblesdb_shard::ShardedDb<FlsmPolicy>> {
-        pebblesdb_shard::ShardedDb::open_with(FlsmPolicy::new, env, path, options, config)
-    }
-
-    /// The options this database was opened with.
-    pub fn options(&self) -> &StoreOptions {
-        self.db.options()
-    }
-
-    /// Per-level summary string (files and guards per level).
-    pub fn level_summary(&self) -> String {
-        self.db.with_current_version(|v| v.level_summary())
-    }
-
-    /// Number of guards (including the sentinel) at each level.
-    pub fn guards_per_level(&self) -> Vec<usize> {
-        self.db.with_current_version(|v| v.guards_per_level())
-    }
-
-    /// Number of files at each level.
-    pub fn files_per_level(&self) -> Vec<usize> {
-        self.db.with_current_version(|v| {
-            (0..v.num_levels())
-                .map(|l| v.level_files(l).len())
-                .collect()
-        })
-    }
-
-    /// Total number of guards that currently hold no sstables.
-    pub fn empty_guards(&self) -> usize {
-        self.db.with_current_version(|v| v.empty_guards())
-    }
-
-    /// Flushes the memtable and waits until no compaction work is pending.
-    pub fn compact_all(&self) -> Result<()> {
-        KvStore::flush(self)
-    }
-
-    /// Runs one value-log garbage-collection pass: relocates live values out
-    /// of the coldest sealed vlog file of each family and deletes retired
-    /// files no pinned snapshot can still reach.
-    pub fn vlog_gc(&self) -> Result<pebblesdb_engine::VlogGcReport> {
-        self.db.vlog_gc()
-    }
-
-    /// The underlying chassis store. Replication plumbing (the follower
-    /// store, change-stream shipping) is generic over the tree shape and
-    /// works against the chassis directly.
-    pub fn engine(&self) -> &EngineDb<FlsmPolicy> {
-        &self.db
-    }
-}
-
-/// Column families on PebblesDB: implemented once in the chassis; the FLSM
-/// policy provides each family its own guard tree.
-impl Db for PebblesDb {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        self.db.create_cf(name)
-    }
-    fn drop_cf(&self, name: &str) -> Result<()> {
-        self.db.drop_cf(name)
-    }
-    fn list_cfs(&self) -> Vec<String> {
-        self.db.list_cfs()
-    }
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        self.db.cf(name)
-    }
-    fn cf_stats(&self) -> Vec<CfStats> {
-        self.db.cf_stats()
-    }
-    fn stream(
-        &self,
-        from_seq: pebblesdb_common::SequenceNumber,
-    ) -> Result<Box<dyn pebblesdb_common::ChangeStream>> {
-        Db::stream(&self.db, from_seq)
-    }
-    fn committed_sequence(&self) -> pebblesdb_common::SequenceNumber {
-        Db::committed_sequence(&self.db)
-    }
-}
-
-impl KvStore for PebblesDb {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.db.put_opts(opts, key, value)
-    }
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.get_opts(opts, key)
-    }
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.db.delete_opts(opts, key)
-    }
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.db.write_opts(opts, batch)
-    }
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.db.iter(opts)
-    }
-    fn snapshot(&self) -> Snapshot {
-        self.db.snapshot()
-    }
-    fn flush(&self) -> Result<()> {
-        self.db.flush()
-    }
-    fn stats(&self) -> StoreStats {
-        self.db.stats()
-    }
-    fn engine_name(&self) -> String {
-        self.db.engine_name()
-    }
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.db.live_file_sizes()
-    }
-}
+/// A handle to an open PebblesDB database: the shared engine chassis
+/// ([`EngineDb`]) shaped by the guarded-FLSM policy. The LSM baseline is the
+/// same chassis with a one-implicit-guard-per-level policy.
+pub type PebblesDb = EngineDb<FlsmPolicy>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pebblesdb_common::key::{encode_internal_key, ValueType};
     use pebblesdb_engine::{EngineCore, FileMetaDataEdit};
-    use pebblesdb_env::MemEnv;
+    use pebblesdb_env::{Env, MemEnv};
     use std::collections::BTreeSet;
+    use std::path::Path;
 
     fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
         FileMetaDataEdit {
@@ -570,7 +417,7 @@ mod tests {
         let mut options = StoreOptions::default();
         options.level0_compaction_trigger = 2;
         let db = open_empty(options);
-        let inner: &Arc<EngineCore<FlsmPolicy>> = db.db.core();
+        let inner: &Arc<EngineCore<FlsmPolicy>> = db.core();
         let mut state = inner.state.lock();
         // Two level-0 files arm the size trigger.
         fabricate_files(&mut state, &[(0, "a", "c"), (0, "b", "d")]);
@@ -594,7 +441,7 @@ mod tests {
         options.level0_compaction_trigger = 100; // no size triggers
         options.enable_aggressive_compaction = false;
         let db = open_empty(options);
-        let inner = db.db.core();
+        let inner = db.core();
         let mut state = inner.state.lock();
         // A level-1 guard with two overlapping sstables: under every size
         // budget, but exactly what a seek-triggered compaction wants.
@@ -617,7 +464,7 @@ mod tests {
         options.level0_compaction_trigger = 100;
         options.enable_aggressive_compaction = false;
         let db = open_empty(options);
-        let inner = db.db.core();
+        let inner = db.core();
         let mut state = inner.state.lock();
         fabricate_files(&mut state, &[(1, "a", "c")]);
         state.default_cf_mut().policy.seek_compaction_pending = true;
@@ -637,7 +484,7 @@ mod tests {
         options.max_sstables_per_guard = 1;
         options.compaction_threads = 2;
         let db = open_empty(options);
-        let inner = db.db.core();
+        let inner = db.core();
         let mut state = inner.state.lock();
         // Two over-budget "guards": the sentinel guard of level 1 would hold
         // all four files, so use disjoint key ranges at levels 1 and 2 to

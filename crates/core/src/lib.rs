@@ -20,21 +20,23 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use pebblesdb::PebblesDb;
+//! use pebblesdb::{PebblesDb, StoreOptions, StorePreset};
 //! use pebblesdb_common::KvStore;
 //! use pebblesdb_env::MemEnv;
 //!
 //! let env = Arc::new(MemEnv::new());
-//! let db = PebblesDb::open(env, std::path::Path::new("/db")).unwrap();
+//! let options = StoreOptions::with_preset(StorePreset::PebblesDb);
+//! let db = PebblesDb::open_with_options(env, std::path::Path::new("/db"), options).unwrap();
 //! db.put(b"pebble", b"stone").unwrap();
 //! assert_eq!(db.get(b"pebble").unwrap(), Some(b"stone".to_vec()));
 //! let range = db.scan(b"a", b"z", 100).unwrap();
 //! assert_eq!(range.len(), 1);
 //! ```
 //!
-//! The store implements the shared [`KvStore`](pebblesdb_common::KvStore)
-//! trait, so the YCSB runner, the application layers and the benchmark
-//! harness drive it exactly as they drive the baseline LSM engine.
+//! [`PebblesDb`] is the shared engine chassis shaped by [`FlsmPolicy`]; it
+//! implements the shared [`KvStore`](pebblesdb_common::KvStore) trait, so the
+//! YCSB runner, the application layers and the benchmark harness drive it
+//! exactly as they drive the baseline LSM engine.
 
 pub mod compaction;
 pub mod db;
@@ -45,6 +47,7 @@ pub mod version;
 pub use db::{FlsmPolicy, PebblesDb};
 pub use guards::{GuardMeta, GuardPicker, UncommittedGuards};
 pub use pebblesdb_common::{StoreOptions, StorePreset};
+pub use pebblesdb_engine::ShapePolicy;
 pub use version::{CompactionReason, FlsmVersion};
 
 #[cfg(test)]
@@ -154,17 +157,13 @@ mod tests {
         let pebbles_amp = pebbles.stats().write_amplification();
 
         let lsm_env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let lsm = pebblesdb_lsm::LsmDb::open_with_options(
-            Arc::clone(&lsm_env),
-            Path::new("/lsm"),
-            {
+        let lsm =
+            pebblesdb_lsm::LsmDb::open_with_options(Arc::clone(&lsm_env), Path::new("/lsm"), {
                 let mut o = small_options();
                 o.max_sstables_per_guard = 8;
                 o
-            },
-            StorePreset::HyperLevelDb,
-        )
-        .unwrap();
+            })
+            .unwrap();
         for i in 0..n {
             let k = (i.wrapping_mul(2654435761)) % n;
             lsm.put(&key(k), &value(k, value_len)).unwrap();
@@ -176,6 +175,83 @@ mod tests {
             pebbles_amp < lsm_amp,
             "FLSM write amplification ({pebbles_amp:.2}) should be below the LSM baseline ({lsm_amp:.2})"
         );
+    }
+
+    /// Shape introspection lives once on the chassis: both shapes answer
+    /// it, and the leveled shape, having no explicit guards, reports none.
+    /// Every preset keeps the label its benchmark output and background
+    /// threads are named after.
+    #[test]
+    fn shape_introspection_and_labels_cover_both_shapes() {
+        use pebblesdb_lsm::{LsmDb, LsmPolicy};
+
+        let fill = |db: &dyn KvStore| {
+            for i in 0..4000u32 {
+                db.put(&key(i), &value(i, 100)).unwrap();
+            }
+            db.flush().unwrap();
+        };
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let flsm = PebblesDb::open_with_options(Arc::clone(&env), Path::new("/f"), small_options())
+            .unwrap();
+        let lsm =
+            LsmDb::open_with_options(Arc::clone(&env), Path::new("/l"), small_options()).unwrap();
+        fill(&flsm);
+        fill(&lsm);
+
+        for (files, live) in [
+            (flsm.files_per_level(), flsm.live_file_sizes().len()),
+            (lsm.files_per_level(), lsm.live_file_sizes().len()),
+        ] {
+            assert!(files.iter().skip(1).any(|&c| c > 0), "{files:?}");
+            assert_eq!(files.iter().sum::<usize>(), live, "{files:?}");
+        }
+
+        let guards = flsm.guards_per_level();
+        assert_eq!(guards.len(), flsm.files_per_level().len());
+        // Real guards exist beyond the one sentinel per deeper level.
+        let deep_guards: usize = guards.iter().skip(1).sum();
+        assert!(deep_guards > guards.len() - 1, "{guards:?}");
+        // Data reached a deeper level, so at least one guard holds files.
+        assert!(flsm.empty_guards() < deep_guards, "{guards:?}");
+        assert!(flsm.level_summary().starts_with("L0:"));
+
+        assert!(lsm.guards_per_level().is_empty());
+        assert_eq!(lsm.empty_guards(), 0);
+        assert!(lsm.level_summary().starts_with("L0:"));
+
+        let open_lsm = |path: &str, preset: StorePreset| -> Arc<dyn KvStore> {
+            let options = StoreOptions::with_preset(preset);
+            let policy = LsmPolicy::with_preset(&options, preset);
+            Arc::new(LsmDb::open(policy, Arc::clone(&env), Path::new(path), options).unwrap())
+        };
+        let open_flsm = |path: &str, preset: StorePreset| -> Arc<dyn KvStore> {
+            let options = StoreOptions::with_preset(preset);
+            Arc::new(
+                PebblesDb::open_with_options(Arc::clone(&env), Path::new(path), options).unwrap(),
+            )
+        };
+        let hyper: Arc<dyn KvStore> = Arc::new(
+            LsmDb::open_with_options(
+                Arc::clone(&env),
+                Path::new("/hyper"),
+                StoreOptions::with_preset(StorePreset::HyperLevelDb),
+            )
+            .unwrap(),
+        );
+        let labels = [
+            (open_flsm("/pebbles", StorePreset::PebblesDb), "PebblesDB"),
+            (
+                open_flsm("/pebbles1", StorePreset::PebblesDb1),
+                "PebblesDB-1",
+            ),
+            (hyper, "HyperLevelDB"),
+            (open_lsm("/level", StorePreset::LevelDb), "LevelDB"),
+            (open_lsm("/rocks", StorePreset::RocksDb), "RocksDB"),
+        ];
+        for (db, label) in labels {
+            assert_eq!(db.engine_name(), label);
+        }
     }
 
     #[test]

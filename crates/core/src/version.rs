@@ -103,16 +103,6 @@ impl FlsmVersion {
         }
     }
 
-    /// Number of guards per level (sentinel included), for diagnostics.
-    pub fn guards_per_level(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.guards.len()).collect()
-    }
-
-    /// Total number of empty guards across all levels.
-    pub fn empty_guards(&self) -> usize {
-        self.levels.iter().skip(1).map(|l| l.empty_guards()).sum()
-    }
-
     /// Point lookup across the whole version.
     pub fn get(
         &self,
@@ -314,6 +304,16 @@ impl ShapeVersion for FlsmVersion {
         parts.join(" ")
     }
 
+    /// Number of guards per level (sentinel included), for diagnostics.
+    fn guards_per_level(&self) -> Vec<usize> {
+        self.levels.iter().map(|l| l.guards.len()).collect()
+    }
+
+    /// Total number of empty guards across all levels.
+    fn empty_guards(&self) -> usize {
+        self.levels.iter().skip(1).map(|l| l.empty_guards()).sum()
+    }
+
     /// Every level's guard keys: guards propagate downwards, so a snapshot
     /// lists a level-1 guard again at each deeper level.
     fn snapshot_guards(&self) -> Vec<(usize, Vec<u8>)> {
@@ -413,7 +413,7 @@ pub enum CompactionReason {
     Aggressive,
     /// Requested by the consecutive-seek heuristic.
     SeekTriggered,
-    /// Explicitly requested (flush / compact_all).
+    /// Explicitly requested (flush).
     Manual,
 }
 

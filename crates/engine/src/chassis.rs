@@ -511,6 +511,16 @@ impl<P: ShapePolicy> EngineDb<P> {
         })
     }
 
+    /// Opens (creating if necessary) a store at `path` with the shape
+    /// [`ShapePolicy::new`] builds from `options`.
+    pub fn open_with_options(
+        env: Arc<dyn pebblesdb_env::Env>,
+        path: &Path,
+        options: StoreOptions,
+    ) -> Result<EngineDb<P>> {
+        Self::open(P::new(&options), env, path, options)
+    }
+
     /// The options this store was opened with.
     pub fn options(&self) -> &StoreOptions {
         &self.shared.core.io.options
@@ -526,6 +536,31 @@ impl<P: ShapePolicy> EngineDb<P> {
     pub fn with_current_version<R>(&self, f: impl FnOnce(&VersionOf<P>) -> R) -> R {
         let state = self.shared.core.state.lock();
         f(state.default_cf().versions.current_unpinned())
+    }
+
+    /// Number of distinct files at each level of the default family.
+    pub fn files_per_level(&self) -> Vec<usize> {
+        self.with_current_version(|v| {
+            (0..v.num_levels())
+                .map(|l| v.level_files(l).len())
+                .collect()
+        })
+    }
+
+    /// Number of guards (sentinel included) at each level of the default
+    /// family; empty for a shape without explicit guards.
+    pub fn guards_per_level(&self) -> Vec<usize> {
+        self.with_current_version(|v| v.guards_per_level())
+    }
+
+    /// Total number of guards in the default family that hold no sstables.
+    pub fn empty_guards(&self) -> usize {
+        self.with_current_version(|v| v.empty_guards())
+    }
+
+    /// Human-readable per-level summary of the default family.
+    pub fn level_summary(&self) -> String {
+        self.with_current_version(|v| v.level_summary())
     }
 
     /// Writes a batch whose sequence numbers were already assigned by an

@@ -82,6 +82,9 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     /// A fully described unit of compaction work.
     type Job: Send + 'static;
 
+    /// Builds the shape from the store options; `EngineDb::open_with_options`
+    /// and the sharded and follower stores open a store through it.
+    fn new(options: &StoreOptions) -> Self;
     /// The engine name reported in benchmark output.
     fn engine_name(&self) -> String;
     /// Creates the initial policy state.

@@ -172,6 +172,15 @@ pub trait ShapeVersion: Send + Sync + Sized + 'static {
     fn level_files(&self, level: usize) -> Cow<'_, [Arc<FileMetaData>]>;
     /// Human-readable per-level summary.
     fn level_summary(&self) -> String;
+    /// Number of guards (sentinel included) at each level; empty for a shape
+    /// without explicit guards.
+    fn guards_per_level(&self) -> Vec<usize> {
+        Vec::new()
+    }
+    /// Total number of guards that hold no sstables.
+    fn empty_guards(&self) -> usize {
+        0
+    }
     /// Guard keys a full-snapshot MANIFEST records, as `(level, key)`.
     fn snapshot_guards(&self) -> Vec<(usize, Vec<u8>)> {
         Vec::new()

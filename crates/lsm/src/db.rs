@@ -14,7 +14,6 @@
 //! leveled-compaction policy — how jobs are picked, merged and committed,
 //! and how reads route through the sorted runs.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::iterator::{DbIterator, MergingIterator};
@@ -22,16 +21,11 @@ use pebblesdb_common::key::{
     compare_internal_keys, parse_internal_key, InternalKey, LookupKey, SequenceNumber, ValueType,
     MAX_SEQUENCE_NUMBER,
 };
-use pebblesdb_common::snapshot::Snapshot;
 use pebblesdb_common::vlog::LookupValue;
-use pebblesdb_common::{
-    CfStats, ColumnFamilyHandle, Db, Error, KvStore, ReadOptions, Result, StoreOptions,
-    StorePreset, StoreStats, WriteBatch, WriteOptions,
-};
+use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions, StorePreset};
 use pebblesdb_engine::{
     EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, ShapeVersion, VersionEdit,
 };
-use pebblesdb_env::Env;
 use pebblesdb_sstable::TableBuilder;
 
 use crate::version::Version;
@@ -72,6 +66,12 @@ impl ShapePolicy for LsmPolicy {
     type Version = Version;
     type State = LsmPolicyState;
     type Job = LsmCompactionJob;
+
+    /// Labelled with the HyperLevelDB preset; see [`LsmPolicy::with_preset`]
+    /// for the other baselines.
+    fn new(options: &StoreOptions) -> LsmPolicy {
+        LsmPolicy::with_preset(options, StorePreset::HyperLevelDb)
+    }
 
     fn engine_name(&self) -> String {
         self.preset.name().to_string()
@@ -272,13 +272,12 @@ impl ShapePolicy for LsmPolicy {
 }
 
 impl LsmPolicy {
-    /// Builds the leveled shape from `options` (labelled with the
-    /// HyperLevelDB preset). Public so chassis-generic plumbing (sharding,
-    /// the replication follower) can open an LSM-shaped `EngineDb` directly.
-    pub fn new(options: &StoreOptions) -> LsmPolicy {
+    /// Builds the leveled shape from `options`, labelled with `preset` for
+    /// benchmark output and background-thread names.
+    pub fn with_preset(options: &StoreOptions, preset: StorePreset) -> LsmPolicy {
         LsmPolicy {
             options: options.clone(),
-            preset: StorePreset::HyperLevelDb,
+            preset,
         }
     }
 
@@ -389,157 +388,7 @@ fn finish_output(number: u64, builder: TableBuilder) -> Result<FileMetaData> {
     ))
 }
 
-/// A handle to an open baseline LSM database.
-///
-/// Cloneable via `Arc`; all methods take `&self` and are safe to call from
-/// multiple threads. Everything but the leveled-compaction policy runs in
-/// the shared chassis ([`EngineDb`]).
-pub struct LsmDb {
-    db: EngineDb<LsmPolicy>,
-}
-
-impl LsmDb {
-    /// Opens (creating if necessary) a database at `path` with explicit
-    /// options, labelled with `preset` for benchmark output.
-    pub fn open_with_options(
-        env: Arc<dyn Env>,
-        path: &Path,
-        options: StoreOptions,
-        preset: StorePreset,
-    ) -> Result<LsmDb> {
-        let policy = LsmPolicy {
-            options: options.clone(),
-            preset,
-        };
-        Ok(LsmDb {
-            db: EngineDb::open(policy, env, path, options)?,
-        })
-    }
-
-    /// Opens a database configured like one of the paper's baseline stores.
-    pub fn open_preset(env: Arc<dyn Env>, path: &Path, preset: StorePreset) -> Result<LsmDb> {
-        LsmDb::open_with_options(env, path, StoreOptions::with_preset(preset), preset)
-    }
-
-    /// Opens a database with default (HyperLevelDB-like) options.
-    pub fn open(env: Arc<dyn Env>, path: &Path) -> Result<LsmDb> {
-        LsmDb::open_preset(env, path, StorePreset::HyperLevelDb)
-    }
-
-    /// Opens (creating if necessary) a sharded store of baseline-LSM engines
-    /// at `path`, labelled with `preset`; see [`pebblesdb_shard`] for the
-    /// routing and commit protocol.
-    pub fn open_sharded(
-        env: Arc<dyn Env>,
-        path: &Path,
-        options: StoreOptions,
-        preset: StorePreset,
-        config: pebblesdb_shard::ShardConfig,
-    ) -> Result<pebblesdb_shard::ShardedDb<LsmPolicy>> {
-        pebblesdb_shard::ShardedDb::open_with(
-            |o| LsmPolicy {
-                options: o.clone(),
-                preset,
-            },
-            env,
-            path,
-            options,
-            config,
-        )
-    }
-
-    /// The options this database was opened with.
-    pub fn options(&self) -> &StoreOptions {
-        self.db.options()
-    }
-
-    /// A human-readable per-level file-count summary.
-    pub fn level_summary(&self) -> String {
-        self.db.with_current_version(|v| v.level_summary())
-    }
-
-    /// Number of files at each level (useful for tests and examples).
-    pub fn files_per_level(&self) -> Vec<usize> {
-        self.db
-            .with_current_version(|v| v.files.iter().map(|f| f.len()).collect())
-    }
-
-    /// Triggers a memtable flush plus any needed compactions, then waits for
-    /// the background threads to go idle.
-    pub fn compact_all(&self) -> Result<()> {
-        KvStore::flush(self)
-    }
-
-    /// Runs one value-log garbage-collection pass: relocates live values out
-    /// of the coldest sealed vlog file of each family and deletes retired
-    /// files no pinned snapshot can still reach.
-    pub fn vlog_gc(&self) -> Result<pebblesdb_engine::VlogGcReport> {
-        self.db.vlog_gc()
-    }
-
-    /// The underlying chassis store. Replication plumbing (the follower
-    /// store, change-stream shipping) is generic over the tree shape and
-    /// works against the chassis directly.
-    pub fn engine(&self) -> &EngineDb<LsmPolicy> {
-        &self.db
-    }
-}
-
-/// Column families on the baseline LSM: the exact same chassis feature, one
-/// leveled structure per family.
-impl Db for LsmDb {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        self.db.create_cf(name)
-    }
-    fn drop_cf(&self, name: &str) -> Result<()> {
-        self.db.drop_cf(name)
-    }
-    fn list_cfs(&self) -> Vec<String> {
-        self.db.list_cfs()
-    }
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        self.db.cf(name)
-    }
-    fn cf_stats(&self) -> Vec<CfStats> {
-        self.db.cf_stats()
-    }
-    fn stream(&self, from_seq: SequenceNumber) -> Result<Box<dyn pebblesdb_common::ChangeStream>> {
-        Db::stream(&self.db, from_seq)
-    }
-    fn committed_sequence(&self) -> SequenceNumber {
-        Db::committed_sequence(&self.db)
-    }
-}
-
-impl KvStore for LsmDb {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.db.put_opts(opts, key, value)
-    }
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.get_opts(opts, key)
-    }
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.db.delete_opts(opts, key)
-    }
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.db.write_opts(opts, batch)
-    }
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.db.iter(opts)
-    }
-    fn snapshot(&self) -> Snapshot {
-        self.db.snapshot()
-    }
-    fn flush(&self) -> Result<()> {
-        self.db.flush()
-    }
-    fn stats(&self) -> StoreStats {
-        self.db.stats()
-    }
-    fn engine_name(&self) -> String {
-        self.db.engine_name()
-    }
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.db.live_file_sizes()
-    }
-}
+/// A handle to an open baseline LSM database: the shared engine chassis
+/// ([`EngineDb`]) shaped by the leveled-compaction policy. Open a LevelDB or
+/// RocksDB-labelled store with `LsmDb::open(LsmPolicy::with_preset(..), ..)`.
+pub type LsmDb = EngineDb<LsmPolicy>;

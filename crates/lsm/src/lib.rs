@@ -13,12 +13,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use pebblesdb_common::{KvStore, StorePreset};
+//! use pebblesdb_common::{KvStore, StoreOptions, StorePreset};
 //! use pebblesdb_env::MemEnv;
-//! use pebblesdb_lsm::LsmDb;
+//! use pebblesdb_lsm::{LsmDb, LsmPolicy};
 //!
 //! let env = Arc::new(MemEnv::new());
-//! let db = LsmDb::open_preset(env, std::path::Path::new("/db"), StorePreset::LevelDb).unwrap();
+//! let options = StoreOptions::with_preset(StorePreset::LevelDb);
+//! let policy = LsmPolicy::with_preset(&options, StorePreset::LevelDb);
+//! let db = LsmDb::open(policy, env, std::path::Path::new("/db"), options).unwrap();
 //! db.put(b"hello", b"world").unwrap();
 //! assert_eq!(db.get(b"hello").unwrap(), Some(b"world".to_vec()));
 //! ```
@@ -52,7 +54,7 @@ mod tests {
     }
 
     fn open_small(env: Arc<dyn Env>, path: &Path) -> LsmDb {
-        LsmDb::open_with_options(env, path, small_options(), StorePreset::HyperLevelDb).unwrap()
+        LsmDb::open_with_options(env, path, small_options()).unwrap()
     }
 
     fn key(i: u32) -> Vec<u8> {
@@ -230,10 +232,14 @@ mod tests {
     #[test]
     fn presets_report_their_names() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db =
-            LsmDb::open_preset(Arc::clone(&env), Path::new("/l"), StorePreset::LevelDb).unwrap();
+        let open_preset = |env: Arc<dyn Env>, path: &str, preset: StorePreset| {
+            let options = StoreOptions::with_preset(preset);
+            let policy = LsmPolicy::with_preset(&options, preset);
+            LsmDb::open(policy, env, Path::new(path), options).unwrap()
+        };
+        let db = open_preset(Arc::clone(&env), "/l", StorePreset::LevelDb);
         assert_eq!(db.engine_name(), "LevelDB");
-        let db2 = LsmDb::open_preset(env, Path::new("/r"), StorePreset::RocksDb).unwrap();
+        let db2 = open_preset(env, "/r", StorePreset::RocksDb);
         assert_eq!(db2.engine_name(), "RocksDB");
     }
 

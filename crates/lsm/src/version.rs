@@ -243,6 +243,7 @@ mod tests {
     use crate::db::LsmPolicy;
     use pebblesdb_common::key::InternalKey;
     use pebblesdb_common::StoreOptions;
+    use pebblesdb_engine::ShapePolicy;
 
     fn ikey(user: &str, seq: u64) -> InternalKey {
         InternalKey::new(user.as_bytes(), seq, ValueType::Value)

@@ -15,7 +15,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pebblesdb_common::{Args, Db};
+use pebblesdb_common::{Args, Db, StoreOptions, StorePreset};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
 use pebblesdb_server::{RateLimit, Server, ServerConfig, StaticTokenAuth};
 
@@ -65,14 +65,28 @@ fn main() {
     let path = Path::new(&path_str);
 
     let db: Arc<dyn Db> = match engine.as_str() {
-        "pebbles" => Arc::new(pebblesdb::PebblesDb::open(env, path).unwrap_or_else(|err| {
-            eprintln!("error: cannot open pebbles store at {path_str}: {err}");
-            std::process::exit(1);
-        })),
-        "lsm" => Arc::new(pebblesdb_lsm::LsmDb::open(env, path).unwrap_or_else(|err| {
-            eprintln!("error: cannot open lsm store at {path_str}: {err}");
-            std::process::exit(1);
-        })),
+        "pebbles" => Arc::new(
+            pebblesdb::PebblesDb::open_with_options(
+                env,
+                path,
+                StoreOptions::with_preset(StorePreset::PebblesDb),
+            )
+            .unwrap_or_else(|err| {
+                eprintln!("error: cannot open pebbles store at {path_str}: {err}");
+                std::process::exit(1);
+            }),
+        ),
+        "lsm" => Arc::new(
+            pebblesdb_lsm::LsmDb::open_with_options(
+                env,
+                path,
+                StoreOptions::with_preset(StorePreset::HyperLevelDb),
+            )
+            .unwrap_or_else(|err| {
+                eprintln!("error: cannot open lsm store at {path_str}: {err}");
+                std::process::exit(1);
+            }),
+        ),
         other => {
             eprintln!("error: unknown engine {other:?} (expected pebbles or lsm)");
             std::process::exit(2);

@@ -514,7 +514,8 @@ fn store_error(err: &Error) -> RespValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblesdb::PebblesDb;
+    use pebblesdb::{FlsmPolicy, PebblesDb, ShapePolicy};
+    use pebblesdb_common::{StoreOptions, StorePreset};
     use pebblesdb_env::MemEnv;
     use std::path::Path;
 
@@ -524,7 +525,9 @@ mod tests {
 
     fn session_with(auth: Option<Arc<dyn AuthProvider>>, limiter: Option<TokenBucket>) -> Session {
         let env = Arc::new(MemEnv::new());
-        let db: Arc<dyn Db> = Arc::new(PebblesDb::open(env, Path::new("/dispatch")).unwrap());
+        let options = StoreOptions::with_preset(StorePreset::PebblesDb);
+        let db: Arc<dyn Db> =
+            Arc::new(PebblesDb::open_with_options(env, Path::new("/dispatch"), options).unwrap());
         Session::new(
             db,
             Arc::new(ServerCounters::default()),
@@ -542,7 +545,8 @@ mod tests {
     fn info_breaks_out_shards_of_a_sharded_store() {
         let env = Arc::new(MemEnv::new());
         let db: Arc<dyn Db> = Arc::new(
-            PebblesDb::open_sharded(
+            pebblesdb_shard::ShardedDb::open_with(
+                FlsmPolicy::new,
                 env,
                 Path::new("/dispatch-sharded"),
                 pebblesdb_common::StoreOptions::default(),

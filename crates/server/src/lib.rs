@@ -21,7 +21,9 @@
 //! use pebblesdb_server::{RespClient, Server, ServerConfig};
 //!
 //! let env: Arc<dyn pebblesdb_env::Env> = Arc::new(pebblesdb_env::MemEnv::new());
-//! let db = Arc::new(pebblesdb::PebblesDb::open(env, std::path::Path::new("/db")).unwrap());
+//! let options = pebblesdb::StoreOptions::with_preset(pebblesdb::StorePreset::PebblesDb);
+//! let db = pebblesdb::PebblesDb::open_with_options(env, std::path::Path::new("/db"), options);
+//! let db = Arc::new(db.unwrap());
 //! let server = Server::start(db, ServerConfig::default()).unwrap();
 //!
 //! let mut client = RespClient::connect(server.local_addr()).unwrap();

@@ -188,6 +188,7 @@ pub(crate) fn serve_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pebblesdb::ShapePolicy;
     use pebblesdb_common::{KvStore, PrefixDb};
 
     #[test]
@@ -198,7 +199,13 @@ mod tests {
         counters.connections_closed.store(1, Ordering::Relaxed);
 
         let env = std::sync::Arc::new(pebblesdb_env::MemEnv::new());
-        let store = pebblesdb::PebblesDb::open(env, std::path::Path::new("/metrics-test")).unwrap();
+        let options = pebblesdb::StoreOptions::with_preset(pebblesdb::StorePreset::PebblesDb);
+        let store = pebblesdb::PebblesDb::open_with_options(
+            env,
+            std::path::Path::new("/metrics-test"),
+            options,
+        )
+        .unwrap();
         store.put(b"k", b"v").unwrap();
         let db = PrefixDb::new(std::sync::Arc::new(store));
 
@@ -221,7 +228,8 @@ mod tests {
     fn prometheus_rendering_breaks_out_shards() {
         let counters = ServerCounters::default();
         let env = std::sync::Arc::new(pebblesdb_env::MemEnv::new());
-        let store = pebblesdb::PebblesDb::open_sharded(
+        let store = pebblesdb_shard::ShardedDb::open_with(
+            pebblesdb::FlsmPolicy::new,
             env,
             std::path::Path::new("/metrics-shard-test"),
             pebblesdb_common::StoreOptions::default(),

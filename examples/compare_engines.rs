@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{KvStore, ReadOptions, StoreOptions};
 use pebblesdb_env::MemEnv;
 use pebblesdb_lsm::LsmDb;
 
@@ -58,13 +58,8 @@ fn main() {
     workload(&pebbles, keys);
 
     let lsm_env = Arc::new(MemEnv::new());
-    let lsm = LsmDb::open_with_options(
-        lsm_env,
-        Path::new("/hyper"),
-        small_options(),
-        StorePreset::HyperLevelDb,
-    )
-    .expect("open baseline");
+    let lsm = LsmDb::open_with_options(lsm_env, Path::new("/hyper"), small_options())
+        .expect("open baseline");
     workload(&lsm, keys);
 
     println!("{keys} random inserts of 256-byte values into both engines\n");

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{Db, KvStore, ReadOptions, WriteBatch};
+use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, WriteBatch};
 use pebblesdb_env::DiskEnv;
 
 fn main() {
@@ -17,7 +17,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Open (and create) a database on disk.
-    let db = PebblesDb::open(Arc::new(env), &dir).expect("open database");
+    let options = StoreOptions::with_preset(StorePreset::PebblesDb);
+    let db = PebblesDb::open_with_options(Arc::new(env), &dir, options).expect("open database");
 
     // Single writes and reads.
     db.put(b"language", b"rust").expect("put");

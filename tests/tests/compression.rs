@@ -10,7 +10,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{CompressionType, Db, KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{CompressionType, Db, KvStore, ReadOptions, StoreOptions};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -20,10 +20,7 @@ fn open_engine(engine: &str, env: &Arc<dyn Env>, dir: &Path, options: StoreOptio
     if engine == "flsm" {
         Arc::new(PebblesDb::open_with_options(Arc::clone(env), dir, options).unwrap())
     } else {
-        Arc::new(
-            LsmDb::open_with_options(Arc::clone(env), dir, options, StorePreset::HyperLevelDb)
-                .unwrap(),
-        )
+        Arc::new(LsmDb::open_with_options(Arc::clone(env), dir, options).unwrap())
     }
 }
 

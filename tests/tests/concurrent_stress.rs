@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats, WriteBatch};
+use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StoreStats, WriteBatch};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -52,15 +52,7 @@ fn both_engines() -> Vec<(&'static str, Arc<dyn KvStore>)> {
         ),
         (
             "lsm",
-            Arc::new(
-                LsmDb::open_with_options(
-                    lsm_env,
-                    Path::new("/lsm"),
-                    opts,
-                    StorePreset::HyperLevelDb,
-                )
-                .unwrap(),
-            ),
+            Arc::new(LsmDb::open_with_options(lsm_env, Path::new("/lsm"), opts).unwrap()),
         ),
     ]
 }
@@ -261,15 +253,7 @@ fn compaction_pool_overlaps_jobs_and_preserves_consistency() {
 #[test]
 fn lsm_chassis_pool_survives_the_same_storm_with_exclusive_jobs() {
     let stats = compaction_storm(|env| {
-        Arc::new(
-            LsmDb::open_with_options(
-                env,
-                Path::new("/pool-lsm"),
-                storm_options(),
-                StorePreset::HyperLevelDb,
-            )
-            .unwrap(),
-        )
+        Arc::new(LsmDb::open_with_options(env, Path::new("/pool-lsm"), storm_options()).unwrap())
     });
     assert!(
         stats.max_concurrent_compactions <= 1,

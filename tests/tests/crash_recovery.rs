@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, WriteBatch};
+use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, WriteBatch};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -100,13 +100,7 @@ fn baseline_lsm_recovers_after_torn_wal() {
     let dir = Path::new("/crash-lsm");
     let written = 3000u32;
     {
-        let db = LsmDb::open_with_options(
-            Arc::clone(&env),
-            dir,
-            small_options(),
-            StorePreset::HyperLevelDb,
-        )
-        .unwrap();
+        let db = LsmDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
         for i in 0..written {
             db.put(format!("key{i:06}").as_bytes(), format!("v{i}").as_bytes())
                 .unwrap();
@@ -117,13 +111,7 @@ fn baseline_lsm_recovers_after_torn_wal() {
             .truncate_file(&wal, size.saturating_sub(20))
             .unwrap();
     }
-    let db = LsmDb::open_with_options(
-        Arc::clone(&env),
-        dir,
-        small_options(),
-        StorePreset::HyperLevelDb,
-    )
-    .unwrap();
+    let db = LsmDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
     let mut recovered = 0u32;
     for i in 0..written {
         if db.get(format!("key{i:06}").as_bytes()).unwrap().is_some() {
@@ -148,15 +136,7 @@ fn crash_between_flush_output_and_manifest_commit_loses_nothing() {
                     PebblesDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap(),
                 )
             } else {
-                Arc::new(
-                    LsmDb::open_with_options(
-                        Arc::clone(env),
-                        dir,
-                        small_options(),
-                        StorePreset::HyperLevelDb,
-                    )
-                    .unwrap(),
-                )
+                Arc::new(LsmDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap())
             }
         };
 
@@ -290,15 +270,7 @@ fn dropped_unsynced_dir_entries_lose_no_acknowledged_data() {
                     PebblesDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap(),
                 )
             } else {
-                Arc::new(
-                    LsmDb::open_with_options(
-                        Arc::clone(env),
-                        dir,
-                        small_options(),
-                        StorePreset::HyperLevelDb,
-                    )
-                    .unwrap(),
-                )
+                Arc::new(LsmDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap())
             }
         };
 
@@ -339,15 +311,7 @@ fn open_db_engine(engine: &str, env: &Arc<dyn Env>, dir: &Path) -> Arc<dyn Db> {
     if engine == "flsm" {
         Arc::new(PebblesDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap())
     } else {
-        Arc::new(
-            LsmDb::open_with_options(
-                Arc::clone(env),
-                dir,
-                small_options(),
-                StorePreset::HyperLevelDb,
-            )
-            .unwrap(),
-        )
+        Arc::new(LsmDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap())
     }
 }
 

@@ -10,7 +10,7 @@ use pebblesdb::PebblesDb;
 use pebblesdb_btree::BTreeStore;
 use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset};
 use pebblesdb_env::{Env, MemEnv};
-use pebblesdb_lsm::LsmDb;
+use pebblesdb_lsm::{LsmDb, LsmPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,15 +40,10 @@ fn all_engines() -> Vec<(&'static str, Arc<dyn KvStore>)> {
         .create_cf("shard")
         .unwrap();
     let lsm_cf_env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let lsm_cf = LsmDb::open_with_options(
-        lsm_cf_env,
-        Path::new("/hcf"),
-        opts.clone(),
-        StorePreset::HyperLevelDb,
-    )
-    .unwrap()
-    .create_cf("shard")
-    .unwrap();
+    let lsm_cf = LsmDb::open_with_options(lsm_cf_env, Path::new("/hcf"), opts.clone())
+        .unwrap()
+        .create_cf("shard")
+        .unwrap();
     vec![
         (
             "pebblesdb",
@@ -58,24 +53,16 @@ fn all_engines() -> Vec<(&'static str, Arc<dyn KvStore>)> {
         ),
         (
             "hyperleveldb",
-            Arc::new(
-                LsmDb::open_with_options(
-                    lsm_env,
-                    Path::new("/h"),
-                    opts.clone(),
-                    StorePreset::HyperLevelDb,
-                )
-                .unwrap(),
-            ),
+            Arc::new(LsmDb::open_with_options(lsm_env, Path::new("/h"), opts.clone()).unwrap()),
         ),
         (
             "rocksdb",
             Arc::new(
-                LsmDb::open_with_options(
+                LsmDb::open(
+                    LsmPolicy::with_preset(&opts, StorePreset::RocksDb),
                     rocks_env,
                     Path::new("/r"),
                     opts.clone(),
-                    StorePreset::RocksDb,
                 )
                 .unwrap(),
             ),

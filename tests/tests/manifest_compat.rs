@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use pebblesdb::FlsmVersion;
 use pebblesdb_common::key::{InternalKey, ValueType};
-use pebblesdb_common::{StoreOptions, StorePreset};
+use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::{FileMetaDataEdit, ShapeVersion, VersionEdit, VersionSet};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::{LsmDb, Version as LsmVersion};
@@ -368,7 +368,7 @@ fn lsm_open_of_flsm_fixture_is_corruption() {
 
     let mut options = StoreOptions::default();
     options.max_levels = MAX_LEVELS;
-    let err = match LsmDb::open_with_options(env, &dir, options, StorePreset::HyperLevelDb) {
+    let err = match LsmDb::open_with_options(env, &dir, options) {
         Ok(_) => panic!("an LSM store opened an FLSM directory"),
         Err(err) => err,
     };

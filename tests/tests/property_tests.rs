@@ -21,7 +21,7 @@ use pebblesdb_common::key::{
     compare_internal_keys, encode_internal_key, parse_internal_key, ValueType,
 };
 use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::{ColumnFamilyHandle, Db, KvStore, StoreOptions, StorePreset};
+use pebblesdb_common::{ColumnFamilyHandle, Db, KvStore, StoreOptions};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -128,13 +128,7 @@ fn baseline_lsm_matches_model() {
     for case in 0..8 {
         let ops = random_ops(&mut rng);
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let store = LsmDb::open_with_options(
-            env,
-            Path::new("/prop"),
-            tiny_options(),
-            StorePreset::HyperLevelDb,
-        )
-        .unwrap();
+        let store = LsmDb::open_with_options(env, Path::new("/prop"), tiny_options()).unwrap();
         eprintln!("case {case}: {} ops", ops.len());
         check_engine_against_model(&store, &ops);
     }
@@ -262,15 +256,7 @@ fn pebblesdb_concurrent_compactions_match_model_and_snapshots() {
 #[test]
 fn baseline_lsm_concurrent_compactions_match_model_and_snapshots() {
     concurrent_compactions_match_model_and_snapshots(|env, opts| {
-        Arc::new(
-            LsmDb::open_with_options(
-                env,
-                Path::new("/prop-conc"),
-                opts,
-                StorePreset::HyperLevelDb,
-            )
-            .unwrap(),
-        )
+        Arc::new(LsmDb::open_with_options(env, Path::new("/prop-conc"), opts).unwrap())
     });
 }
 
@@ -430,10 +416,7 @@ fn pebblesdb_three_family_differential_with_shared_snapshots() {
 #[test]
 fn baseline_lsm_three_family_differential_with_shared_snapshots() {
     concurrent_compactions_match_model_across_families(|env, opts| {
-        Arc::new(
-            LsmDb::open_with_options(env, Path::new("/prop-cf"), opts, StorePreset::HyperLevelDb)
-                .unwrap(),
-        )
+        Arc::new(LsmDb::open_with_options(env, Path::new("/prop-cf"), opts).unwrap())
     });
 }
 

@@ -12,10 +12,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pebblesdb::{FlsmPolicy, PebblesDb};
+use pebblesdb::{FlsmPolicy, PebblesDb, ShapePolicy};
 use pebblesdb_common::replication::{ChangeEvent, ChangeStream};
 use pebblesdb_common::{
-    CfId, Db, KvStore, ReadOptions, ReplicationFrame, StoreOptions, ValueType, WriteBatch,
+    CfId, Db, KvStore, ReadOptions, ReplicationFrame, StoreOptions, StorePreset, ValueType,
+    WriteBatch,
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_replica::{FollowerConfig, FollowerDb};
@@ -27,7 +28,14 @@ const WAIT: Duration = Duration::from_secs(60);
 
 fn open_leader(env: &Arc<MemEnv>, path: &str) -> Arc<dyn Db> {
     let env: Arc<dyn Env> = Arc::clone(env) as Arc<dyn Env>;
-    Arc::new(PebblesDb::open(env, Path::new(path)).unwrap())
+    Arc::new(
+        PebblesDb::open_with_options(
+            env,
+            Path::new(path),
+            StoreOptions::with_preset(StorePreset::PebblesDb),
+        )
+        .unwrap(),
+    )
 }
 
 fn open_follower(leader_addr: std::net::SocketAddr) -> (FollowerDb<FlsmPolicy>, Arc<MemEnv>) {
@@ -119,7 +127,12 @@ fn apply_events(events: &[ChangeEvent], model: &mut BTreeMap<(CfId, Vec<u8>), Ve
 #[test]
 fn change_stream_tails_live_commits_and_replays_closed_segments() {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let db = PebblesDb::open(env, Path::new("/cdc")).unwrap();
+    let db = PebblesDb::open_with_options(
+        env,
+        Path::new("/cdc"),
+        StoreOptions::with_preset(StorePreset::PebblesDb),
+    )
+    .unwrap();
 
     for i in 0..20u32 {
         db.put(format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes())

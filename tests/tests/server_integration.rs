@@ -11,13 +11,20 @@ use std::time::Duration;
 
 use pebblesdb::PebblesDb;
 use pebblesdb_common::resp::RespValue;
-use pebblesdb_common::{Db, KvStore};
+use pebblesdb_common::{Db, KvStore, StoreOptions, StorePreset};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_server::{RateLimit, RespClient, Server, ServerConfig, StaticTokenAuth};
 
 fn start_server(config: ServerConfig) -> (Server, Arc<dyn Db>) {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let db: Arc<dyn Db> = Arc::new(PebblesDb::open(env, Path::new("/server-it")).unwrap());
+    let db: Arc<dyn Db> = Arc::new(
+        PebblesDb::open_with_options(
+            env,
+            Path::new("/server-it"),
+            StoreOptions::with_preset(StorePreset::PebblesDb),
+        )
+        .unwrap(),
+    );
     let server = Server::start(Arc::clone(&db), config).unwrap();
     (server, db)
 }
@@ -293,7 +300,14 @@ fn killed_server_recovers_every_acknowledged_write_on_restart() {
     let mem_env = MemEnv::new();
     let env: Arc<dyn Env> = Arc::new(mem_env.clone());
     let dir = Path::new("/server-crash");
-    let db: Arc<dyn Db> = Arc::new(PebblesDb::open(Arc::clone(&env), dir).unwrap());
+    let db: Arc<dyn Db> = Arc::new(
+        PebblesDb::open_with_options(
+            Arc::clone(&env),
+            dir,
+            StoreOptions::with_preset(StorePreset::PebblesDb),
+        )
+        .unwrap(),
+    );
     let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
@@ -331,7 +345,9 @@ fn killed_server_recovers_every_acknowledged_write_on_restart() {
 
     // Restart the store from the same (in-memory) disk image.
     drop(db);
-    let reopened = PebblesDb::open(env, dir).unwrap();
+    let reopened =
+        PebblesDb::open_with_options(env, dir, StoreOptions::with_preset(StorePreset::PebblesDb))
+            .unwrap();
     for key in &acked {
         assert_eq!(
             reopened.get(key.as_bytes()).unwrap(),
@@ -380,8 +396,14 @@ fn shutdown_drain_on_a_dead_connection_is_counted_not_hidden() {
     // connection that is already gone.
     let mem_env = MemEnv::new();
     let env: Arc<dyn Env> = Arc::new(mem_env.clone());
-    let db: Arc<dyn Db> =
-        Arc::new(PebblesDb::open(Arc::clone(&env), Path::new("/server-drain")).unwrap());
+    let db: Arc<dyn Db> = Arc::new(
+        PebblesDb::open_with_options(
+            Arc::clone(&env),
+            Path::new("/server-drain"),
+            StoreOptions::with_preset(StorePreset::PebblesDb),
+        )
+        .unwrap(),
+    );
     let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let counters = server.counters();
 

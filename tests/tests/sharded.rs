@@ -11,12 +11,12 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pebblesdb::PebblesDb;
+use pebblesdb::{FlsmPolicy, ShapePolicy};
 use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, WriteBatch};
+use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, WriteBatch};
 use pebblesdb_env::{Env, MemEnv};
-use pebblesdb_lsm::LsmDb;
-use pebblesdb_shard::{HashPartitioner, Partitioner, PartitionerKind, ShardConfig};
+use pebblesdb_lsm::LsmPolicy;
+use pebblesdb_shard::{HashPartitioner, Partitioner, PartitionerKind, ShardConfig, ShardedDb};
 
 fn tiny_options() -> StoreOptions {
     let mut opts = StoreOptions::default();
@@ -42,10 +42,11 @@ fn hash_config() -> ShardConfig {
 fn open_sharded(env: Arc<dyn Env>, dir: &Path, engine: &str, config: ShardConfig) -> Arc<dyn Db> {
     match engine {
         "flsm" => Arc::new(
-            PebblesDb::open_sharded(env, dir, tiny_options(), config).expect("open flsm shards"),
+            ShardedDb::open_with(FlsmPolicy::new, env, dir, tiny_options(), config)
+                .expect("open flsm shards"),
         ),
         "lsm" => Arc::new(
-            LsmDb::open_sharded(env, dir, tiny_options(), StorePreset::HyperLevelDb, config)
+            ShardedDb::open_with(LsmPolicy::new, env, dir, tiny_options(), config)
                 .expect("open lsm shards"),
         ),
         other => panic!("unknown engine {other}"),
@@ -233,7 +234,14 @@ fn reopening_with_a_different_topology_is_refused() {
         partitioner: PartitionerKind::Hash,
     };
     assert!(
-        PebblesDb::open_sharded(Arc::clone(&env), dir, tiny_options(), wrong_count).is_err(),
+        ShardedDb::open_with(
+            FlsmPolicy::new,
+            Arc::clone(&env),
+            dir,
+            tiny_options(),
+            wrong_count
+        )
+        .is_err(),
         "shard-count mismatch must be refused"
     );
     let wrong_partitioner = ShardConfig {
@@ -241,7 +249,14 @@ fn reopening_with_a_different_topology_is_refused() {
         partitioner: PartitionerKind::Range,
     };
     assert!(
-        PebblesDb::open_sharded(Arc::clone(&env), dir, tiny_options(), wrong_partitioner).is_err(),
+        ShardedDb::open_with(
+            FlsmPolicy::new,
+            Arc::clone(&env),
+            dir,
+            tiny_options(),
+            wrong_partitioner
+        )
+        .is_err(),
         "partitioner mismatch must be refused"
     );
     // The original topology still opens.

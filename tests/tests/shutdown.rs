@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{KvStore, StoreOptions, StorePreset};
+use pebblesdb_common::{KvStore, StoreOptions};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -99,17 +99,13 @@ fn flsm_drop_terminates_with_four_compaction_workers() {
 #[test]
 fn lsm_drop_terminates_with_one_compaction_worker() {
     open_fill_drop_under_watchdog("lsm-1", |env, path| {
-        Box::new(
-            LsmDb::open_with_options(env, path, options(1), StorePreset::HyperLevelDb).unwrap(),
-        )
+        Box::new(LsmDb::open_with_options(env, path, options(1)).unwrap())
     });
 }
 
 #[test]
 fn lsm_drop_terminates_with_four_compaction_workers() {
     open_fill_drop_under_watchdog("lsm-4", |env, path| {
-        Box::new(
-            LsmDb::open_with_options(env, path, options(4), StorePreset::HyperLevelDb).unwrap(),
-        )
+        Box::new(LsmDb::open_with_options(env, path, options(4)).unwrap())
     });
 }

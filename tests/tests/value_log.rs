@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{Db, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{Db, ReadOptions, StoreOptions};
 use pebblesdb_engine::VlogGcReport;
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
@@ -31,10 +31,7 @@ fn open_engine(engine: &str, env: &Arc<dyn Env>, dir: &Path, options: StoreOptio
             gc: Box::new(move || gc_db.vlog_gc()),
         }
     } else {
-        let db = Arc::new(
-            LsmDb::open_with_options(Arc::clone(env), dir, options, StorePreset::HyperLevelDb)
-                .unwrap(),
-        );
+        let db = Arc::new(LsmDb::open_with_options(Arc::clone(env), dir, options).unwrap());
         let gc_db = Arc::clone(&db);
         TestDb {
             db,

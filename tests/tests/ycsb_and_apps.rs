@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
 use pebblesdb_apps::{HyperDexLike, MongoLike};
-use pebblesdb_common::{Db, KvStore, StoreOptions, StorePreset};
+use pebblesdb_common::{Db, KvStore, StoreOptions};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 use pebblesdb_ycsb::runner::load_phase;
@@ -65,15 +65,7 @@ fn hyperdex_layer_runs_ycsb_over_both_engines() {
         let engine: Arc<dyn Db> = if use_pebbles {
             Arc::new(PebblesDb::open_with_options(env, Path::new("/hx"), small_options()).unwrap())
         } else {
-            Arc::new(
-                LsmDb::open_with_options(
-                    env,
-                    Path::new("/hx"),
-                    small_options(),
-                    StorePreset::HyperLevelDb,
-                )
-                .unwrap(),
-            )
+            Arc::new(LsmDb::open_with_options(env, Path::new("/hx"), small_options()).unwrap())
         };
         let app: Arc<HyperDexLike> = Arc::new(HyperDexLike::new(engine, 0).unwrap());
 
